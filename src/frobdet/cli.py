@@ -15,7 +15,7 @@ from math import gcd, lcm
 from .commutative import factor_commutative, factor_local
 from .cyclotomic import CycNum, parse_cyc
 from .determinant import factor_group_determinant, frobenius_test, \
-    paratrophic_determinant
+    paratrophic_determinant, verify_against
 from .errors import (
     DimensionCap,
     FrobdetError,
@@ -26,9 +26,9 @@ from .errors import (
     NotLocalShape,
     NotNilpotentAdjoined,
 )
-from .factorization import verify_factorization, Factorization
+from .factorization import verify_factorization, Factorization, lift_zero
 from .groupoids import factor_clifford, groupoid_structure, inverse_determinant
-from .nilpotent import analyze_nilpotent, factor_nil_adjoined, parse_cocycle
+from .nilpotent import factor_nil_adjoined, parse_cocycle
 from .poly import DEFAULT_CAP, Poly, parse_poly, mono_str, _mono_key
 from .posets import factor_semilattice, mobius, natural_order, smith_determinant
 from .rings import FiniteFieldSpec, frobenius_form_check, kovacs_check, \
@@ -307,14 +307,15 @@ def dispatch_factor(S, args):
     """Pick the factorization theorem for S; returns (data, lines).
 
     Tries, in order: semilattice, abelian group, Clifford, general
-    inverse, nilpotent-adjoined, commutative. Routes whose hypotheses
-    fail are skipped with a note; when none applies the staged vanishing
-    test runs instead."""
+    inverse, nilpotent-adjoined, commutative. The nilpotent route factors
+    the contracted determinant and lifts it to the plain one. Routes whose
+    hypotheses fail are skipped with a note; when none applies the staged
+    vanishing test runs instead."""
     cap = effective_cap(args, S.n)
     rep = analyze(S)
     skipped = []
     if rep.is_semilattice:
-        return finish_factor(factor_semilattice(S, verify_cap=cap,
+        return finish_factor(factor_semilattice(S, cap=cap,
                                                 seed=args.seed), S)
     if rep.is_group and rep.is_commutative:
         return finish_factor(factor_group_determinant(S, cap=cap,
@@ -334,9 +335,9 @@ def dispatch_factor(S, args):
         except (NonabelianWithoutReps, DimensionCap):
             skipped.append(f"inverse route skipped: {e}")
     try:
-        analyze_nilpotent(S)
-        return finish_factor(factor_nil_adjoined(S, None, cap=cap,
-                                                 seed=args.seed), S)
+        F = factor_nil_adjoined(S, None, cap=cap, seed=args.seed)
+        return finish_factor(verify_against(S, lift_zero(F, S.zero), "plain",
+                                            cap=cap, seed=args.seed), S)
     except NotNilpotentAdjoined:
         pass
     except DimensionCap as e:
@@ -395,7 +396,6 @@ def cmd_factor(args):
     elif args.contracted:
         cap = effective_cap(args, S.n)
         try:
-            analyze_nilpotent(S)
             F = factor_nil_adjoined(S, None, cap=cap, seed=args.seed)
         except NotNilpotentAdjoined:
             try:
@@ -501,6 +501,40 @@ def cmd_ringcheck(args):
     return 0
 
 
+def _is_count(v):
+    return isinstance(v, int) and not isinstance(v, bool) and v >= 1
+
+
+def load_factorization_json(text):
+    """Parse a factorization as printed by `factor --json`, checking the
+    shape of every field that cmd_verify reads."""
+    fact = json.loads(text)
+    if not isinstance(fact, dict):
+        raise FormatError("factorization file must hold a JSON object")
+    if fact.get("status") not in ("zero", "factored"):
+        raise FormatError("factorization file must have status "
+                          "'zero' or 'factored', got "
+                          f"{fact.get('status')!r}")
+    if not _is_count(fact.get("cyclotomic_order", 1)):
+        raise FormatError("cyclotomic_order must be an integer >= 1, got "
+                          f"{fact['cyclotomic_order']!r}")
+    if not isinstance(fact.get("constant", "0"), str):
+        raise FormatError("constant must be a string")
+    factors = fact.get("factors", [])
+    if not isinstance(factors, list):
+        raise FormatError("factors must be a list")
+    for item in factors:
+        form = item.get("form") if isinstance(item, dict) else None
+        if not isinstance(form, dict) \
+                or not all(isinstance(v, str) for v in form.values()):
+            raise FormatError("each factor must be an object with a form "
+                              "mapping monomials to coefficient strings")
+        if not _is_count(item.get("multiplicity")):
+            raise FormatError("factor multiplicity must be an integer >= 1, "
+                              f"got {item.get('multiplicity')!r}")
+    return fact
+
+
 def cmd_verify(args):
     det_lines = read_input(args.det_file).splitlines()
     poly_line = None
@@ -518,11 +552,7 @@ def cmd_verify(args):
             poly_line = ln
     if poly_line is None:
         raise FormatError("determinant file has no polynomial line")
-    fact = json.loads(read_input(args.fact_file))
-    if fact.get("status") not in ("zero", "factored"):
-        raise FormatError("factorization file must have status "
-                          "'zero' or 'factored', got "
-                          f"{fact.get('status')!r}")
+    fact = load_factorization_json(read_input(args.fact_file))
     order = fact.get("cyclotomic_order", 1)
     if det_order is not None:
         order = lcm(order, det_order)

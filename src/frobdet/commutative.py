@@ -17,12 +17,11 @@ from fractions import Fraction
 
 from .characters import character_group, nonreal_pair_representatives
 from .cyclotomic import CycNum
-from .determinant import constant_by_division, paratrophic_determinant
+from .determinant import paratrophic_determinant, verify_against
 from .errors import (IdempotentsNotCentral, NotChain, NotCommutative,
                      NotIdempotentSemigroup, NotLocalShape,
                      VerificationFailed)
-from .factorization import (Factorization, checked, equivalent,
-                            random_contracted_check, random_table_check)
+from .factorization import Factorization, equivalent
 from .linalg import cyc_det
 from .nilpotent import Cocycle, analyze_nilpotent, annihilator_matrix
 from .poly import DEFAULT_CAP, LinForm, Poly, poly_identity_test
@@ -287,7 +286,7 @@ def factor_local(M, cap=DEFAULT_CAP, seed=0):
             dead.append(f"character {idx}: det A = 0")
     if dead:
         F = Factorization.zero("local-monoid", notes=tuple(dead), order=order)
-        return _verify_local(M, F, cap, seed)
+        return verify_against(M, F, "contracted", cap=cap, seed=seed)
     prod_detA = CycNum.one()
     for rec in spec.records:
         prod_detA = prod_detA * rec.detA
@@ -318,24 +317,7 @@ def factor_local(M, cap=DEFAULT_CAP, seed=0):
     F = Factorization.of(constant, factors, "local-monoid",
                          notes=(f"unit group of order {gsize}, "
                                 f"{len(spec.reps)} orbits",))
-    return _verify_local(M, F, cap, seed)
-
-
-def _verify_local(M, F, cap, seed):
-    if M.n - 1 <= cap:
-        ref = paratrophic_determinant(M, mode="contracted", cap=cap)
-        F = checked(ref, F, mode="exact", seed=seed)
-        if F.status != "zero":
-            by_division = constant_by_division(ref, F.factors)
-            if by_division != F.constant:
-                raise VerificationFailed(
-                    "constant by division disagrees with the closed form")
-        return F
-    v = random_contracted_check(M, None, F, seed)
-    if not v["equal"]:
-        raise VerificationFailed("local factorization failed a randomized "
-                                 "determinant check")
-    return F.with_verification(v)
+    return verify_against(M, F, "contracted", cap=cap, seed=seed)
 
 
 def factor_commutative(S, cap=DEFAULT_CAP, seed=0):
@@ -353,7 +335,7 @@ def factor_commutative(S, cap=DEFAULT_CAP, seed=0):
             "squared-vanishing",
             notes=("the products S.S miss "
                    + ", ".join(S.name_of(s) for s in missing),))
-        return _verify_global(S, F, cap, seed)
+        return verify_against(S, F, cap=cap, seed=seed)
     dec = splus_decompose(S)
     sub = mobius_substitution(S)
     constant = CycNum.one()
@@ -367,7 +349,7 @@ def factor_commutative(S, cap=DEFAULT_CAP, seed=0):
                 "commutative-pipeline",
                 notes=(f"local piece at {S.name_of(e)} vanishes",)
                 + FL.notes)
-            return _verify_global(S, F, cap, seed)
+            return verify_against(S, F, cap=cap, seed=seed)
         constant = constant * FL.constant
         for f, m in FL.factors:
             mapped = f.substitute({v: sub[ambient[v]]
@@ -376,18 +358,7 @@ def factor_commutative(S, cap=DEFAULT_CAP, seed=0):
         notes.append(f"class of {S.name_of(e)}: size {local.n - 1}")
     F = Factorization.of(constant, factors, "commutative-pipeline",
                          notes=tuple(notes))
-    return _verify_global(S, F, cap, seed)
-
-
-def _verify_global(S, F, cap, seed):
-    if S.n <= cap:
-        ref = paratrophic_determinant(S, mode="plain", cap=cap)
-        return checked(ref, F, mode="exact", seed=seed)
-    v = random_table_check(S, F, seed=seed)
-    if not v["equal"]:
-        raise VerificationFailed("commutative factorization failed a "
-                                 "randomized determinant check")
-    return F.with_verification(v)
+    return verify_against(S, F, cap=cap, seed=seed)
 
 
 def _binom2(k):

@@ -7,7 +7,7 @@ zero row and column, writing 0 where a product hits the zero.
 """
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .characters import character_group
@@ -15,10 +15,10 @@ from .cyclotomic import CycNum
 from .errors import (CocycleDomainMismatch, NoZero, NotAbelianWithoutReps,
                      NotAGroup, NotMultiplicative, RepDimensionMismatch,
                      SingularP, VerificationFailed)
-from .factorization import Factorization, checked
+from .factorization import (Factorization, _table_det_at, checked,
+                            random_table_check)
 from .linalg import cyc_det, cyc_matrix_inverse, int_det
-from .poly import (DEFAULT_CAP, LinForm, Poly, det_poly_matrix, divide_exact,
-                   substitute_linear)
+from .poly import DEFAULT_CAP, LinForm, Poly, det_poly_matrix, divide_exact
 from .semigroups import analyze
 
 RANDOM_BOUND = 10 ** 6
@@ -82,6 +82,23 @@ def paratrophic_determinant(S, mode="plain", cocycle=None, cap=DEFAULT_CAP):
     return det
 
 
+def verify_against(S, F, mode="plain", cocycle=None, cap=DEFAULT_CAP,
+                   seed=0):
+    """Check F against the plain, contracted or twisted determinant of S
+    and attach the record. The check is exact when the matrix dimension is
+    within cap and randomized otherwise; a mismatch raises
+    VerificationFailed."""
+    dim = S.n if mode == "plain" else S.n - 1
+    if dim <= cap:
+        return checked(paratrophic_determinant(S, mode, cocycle, cap), F,
+                       mode="exact", seed=seed)
+    v = random_table_check(S, F, mode, cocycle, seed=seed)
+    if not v["equal"]:
+        raise VerificationFailed(f"{F.provenance} factorization failed a "
+                                 "randomized determinant check")
+    return F.with_verification(v)
+
+
 def backnforth_check(S, cap=DEFAULT_CAP):
     """For S with a zero, check the two determinant translations.
 
@@ -136,14 +153,13 @@ def frobenius_test(S, seed=0, rounds=5, cap=DEFAULT_CAP):
                        f"and {r} on the right")
     rng = random.Random(seed)
     for i in range(rounds):
-        point = [rng.randint(-RANDOM_BOUND, RANDOM_BOUND) for _ in range(S.n)]
-        mat = [[point[S.table[a][b]] for b in range(S.n)] for a in range(S.n)]
-        d = int_det(mat)
+        point = {s: rng.randint(-RANDOM_BOUND, RANDOM_BOUND)
+                 for s in range(S.n)}
+        d = _table_det_at(S, point)
         if d != 0:
             return FrobeniusResult(
                 "frobenius",
-                witness={"point": {s: point[s] for s in range(S.n)},
-                         "determinant": d},
+                witness={"point": point, "determinant": d},
                 verification={"mode": "randomized", "rounds": i + 1,
                               "seed": seed})
     if S.n <= cap:
@@ -269,64 +285,14 @@ def _rep_factor(G, rep):
     return det_poly_matrix(mat)
 
 
-def constant_by_division(theta, factors):
-    """Divide theta by each factor in turn; the leftover degree-0 quotient
-    is the exact constant."""
-    q = theta
-    for f, m in factors:
-        for _ in range(m):
-            q = divide_exact(q, f)
-    if q.total_degree() != 0:
-        raise VerificationFailed("quotient after dividing out all factors "
-                                 "is not a constant")
-    return q.coefficient(())
-
-
-def constant_by_ratio(eval_reference, F, seed=0, rounds=5, variables=None):
-    """Exact constant from one nonvanishing random evaluation, checked at
-    further points. eval_reference maps a point dict to an integer."""
-    rng = random.Random(seed)
-    constant = None
-    checked_rounds = 0
-    if variables is None:
-        vs = set()
-        for f, _ in F.factors:
-            vs |= set(f.variables())
-        vs = sorted(vs)
-    else:
-        vs = sorted(variables)
-    for _ in range(rounds * 4):
-        point = {v: rng.randint(-RANDOM_BOUND, RANDOM_BOUND) for v in vs}
-        prod = CycNum.one()
-        for f, m in F.factors:
-            prod = prod * f.evaluate(point) ** m
-        if prod.is_zero():
-            continue
-        ref = _as_cyc(eval_reference(point))
-        c = ref / prod
-        if constant is None:
-            constant = c
-        elif c != constant:
-            raise VerificationFailed("evaluation ratio is not constant; "
-                                     "the factorization is wrong")
-        checked_rounds += 1
-        if checked_rounds >= rounds:
-            break
-    if constant is None:
-        raise VerificationFailed("all sampled points vanished on the "
-                                 "factor product")
-    return constant, {"mode": "randomized", "rounds": checked_rounds,
-                      "seed": seed, "equal": True}
-
-
 def factor_group_determinant(G, reps=None, cap=DEFAULT_CAP, seed=0):
     """Factor the group determinant det [x_{gh}].
 
     Abelian groups factor into the character forms sum_g chi(g) x_g. For
     other groups a complete list of irreducible representations must be
     supplied; each contributes det(sum_g rho(g) x_g) with multiplicity its
-    dimension. The constant is computed exactly, by polynomial division
-    when the size is within cap and by evaluation ratio otherwise.
+    dimension. The constant is theta's leading coefficient, read off a
+    permutation sign; the result is checked by verify_against.
     """
     rep = analyze(G)
     if not rep.is_group:
@@ -354,17 +320,10 @@ def factor_group_determinant(G, reps=None, cap=DEFAULT_CAP, seed=0):
         factors = [(_rep_factor(G, r), r.dim) for r in reps]
         provenance = "frobenius"
     F = Factorization.of(CycNum.one(), factors, provenance)
-    if G.n <= cap:
-        theta = paratrophic_determinant(G, cap=cap)
-        c = constant_by_division(theta, F.factors)
-        F = Factorization("factored", c, F.factors, F.provenance, F.notes)
-        return checked(theta, F, mode="exact", seed=seed)
-
-    def eval_ref(point):
-        mat = [[point[G.table[a][b]] for b in range(G.n)]
-               for a in range(G.n)]
-        return int_det(mat)
-
-    c, v = constant_by_ratio(eval_ref, F, seed=seed)
-    F = Factorization("factored", c, F.factors, F.provenance, F.notes)
-    return F.with_verification(v)
+    # Graded lex is a monomial order and every factor has leading
+    # coefficient 1, so the constant is the coefficient of x_0^n in theta:
+    # the sign of the permutation matrix [g h == 0].
+    sign = int_det([[int(G.table[g][h] == 0) for h in range(G.n)]
+                    for g in range(G.n)])
+    F = replace(F, constant=CycNum.from_rational(sign))
+    return verify_against(G, F, cap=cap, seed=seed)

@@ -33,10 +33,6 @@ class DeclaredIdentityNotIdentity(FrobdetError):
     pass
 
 
-class NotIdempotent(FrobdetError):
-    pass
-
-
 class SizeOverflow(FrobdetError):
     pass
 
@@ -68,10 +64,6 @@ class DimensionCap(FrobdetError):
 
 
 class MissingVariable(FrobdetError):
-    pass
-
-
-class VariableMismatch(FrobdetError):
     pass
 
 

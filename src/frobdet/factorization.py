@@ -13,6 +13,7 @@ from fractions import Fraction
 
 from .cyclotomic import CycNum
 from .errors import VerificationFailed
+from .linalg import cyc_det, int_det
 from .poly import Poly, poly_identity_test
 
 RANDOM_BOUND = 10 ** 6
@@ -172,64 +173,34 @@ def lift_zero(F, z):
                                        "determinant",))
 
 
-def random_table_check(S, F, seed=0, rounds=5):
-    """Compare F against the determinant of the plain multiplication table
-    of S at random integer points, without any symbolic expansion."""
-    from .linalg import int_det
-    rng = random.Random(seed)
-    for i in range(rounds):
-        point = {s: rng.randint(-RANDOM_BOUND, RANDOM_BOUND)
-                 for s in range(S.n)}
-        mat = [[point[S.table[a][b]] for b in range(S.n)] for a in range(S.n)]
-        det = int_det(mat)
-        if F.status == "zero":
-            if det != 0:
-                return {"equal": False, "mode": "randomized", "rounds": i + 1,
-                        "seed": seed, "witness": point}
-            continue
-        val = F.constant
-        for f, m in F.factors:
-            val = val * f.evaluate(point) ** m
-        if val != det:
-            return {"equal": False, "mode": "randomized", "rounds": i + 1,
-                    "seed": seed, "witness": point}
-    return {"equal": True, "mode": "randomized", "rounds": rounds,
-            "seed": seed}
+def _table_det_at(S, point, mode="plain", cocycle=None):
+    """Exact determinant of the plain, contracted or twisted multiplication
+    matrix of S with each variable x_s set to point[s]: an int, or a CycNum
+    for the twisted matrix."""
+    t, z = S.table, S.zero
+    if mode == "plain":
+        return int_det([[point[t[a][b]] for b in range(S.n)]
+                        for a in range(S.n)])
+    basis = [s for s in range(S.n) if s != z]
+    if mode == "contracted":
+        return int_det([[point[t[a][b]] if t[a][b] != z else 0
+                         for b in basis] for a in basis])
+    zero = CycNum.zero(cocycle.order)
+    return cyc_det([[CycNum.from_rational(point[t[a][b]], cocycle.order)
+                     * cocycle.value(a, b) if t[a][b] != z else zero
+                     for b in basis] for a in basis])
 
 
-def random_contracted_check(M, cocycle, F, seed=0, rounds=5):
-    """Like random_table_check, for the contracted (optionally twisted)
-    matrix of a semigroup with zero."""
-    from .linalg import cyc_det
+def random_table_check(S, F, mode="plain", cocycle=None, seed=0, rounds=5):
+    """Compare F against the determinant of the plain, contracted or
+    twisted multiplication matrix of S at random integer points, without
+    any symbolic expansion."""
+    basis = [s for s in range(S.n) if mode == "plain" or s != S.zero]
     rng = random.Random(seed)
-    z = M.zero
-    basis = [s for s in range(M.n) if s != z]
-    order = cocycle.order if cocycle is not None else 1
     for i in range(rounds):
         point = {s: rng.randint(-RANDOM_BOUND, RANDOM_BOUND) for s in basis}
-        mat = []
-        for a in basis:
-            row = []
-            for b in basis:
-                p = M.table[a][b]
-                if p == z:
-                    row.append(CycNum.zero(order))
-                else:
-                    v = CycNum.from_rational(point[p], order)
-                    if cocycle is not None:
-                        v = v * cocycle.value(a, b)
-                    row.append(v)
-            mat.append(row)
-        det = cyc_det(mat)
-        if F.status == "zero":
-            if not det.is_zero():
-                return {"equal": False, "mode": "randomized", "rounds": i + 1,
-                        "seed": seed, "witness": point}
-            continue
-        val = F.constant
-        for f, m in F.factors:
-            val = val * f.evaluate(point) ** m
-        if val != det:
+        if _eval_factorization(F, point) != _table_det_at(S, point, mode,
+                                                          cocycle):
             return {"equal": False, "mode": "randomized", "rounds": i + 1,
                     "seed": seed, "witness": point}
     return {"equal": True, "mode": "randomized", "rounds": rounds,

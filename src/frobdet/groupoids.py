@@ -10,10 +10,11 @@ Mobius change of variables y_s = sum_{t <= s} mu(t, s) x_t.
 from dataclasses import dataclass
 
 from .cyclotomic import CycNum
-from .determinant import factor_group_determinant, paratrophic_determinant
+from .determinant import (factor_group_determinant, paratrophic_determinant,
+                          verify_against)
 from .errors import (NonabelianWithoutReps, NotClifford, NotInverse,
                      VerificationFailed)
-from .factorization import Factorization, checked, random_table_check
+from .factorization import Factorization
 from .linalg import unitriangular_inverse
 from .poly import DEFAULT_CAP, LinForm, Poly, det_poly_matrix
 from .posets import mobius, natural_order
@@ -219,11 +220,4 @@ def factor_clifford(S, reps_by_idempotent=None, cap=DEFAULT_CAP, seed=0):
             factors.append((f.substitute(remap), m))
         notes.append(f"group of order {G.n} at {S.name_of(e)}")
     F = Factorization.of(constant, factors, "clifford-mobius", notes)
-    if S.n <= cap:
-        theta = paratrophic_determinant(S, cap=cap)
-        return checked(theta, F, mode="exact", seed=seed)
-    v = random_table_check(S, F, seed=seed)
-    if not v["equal"]:
-        raise VerificationFailed("clifford factorization failed a "
-                                 "randomized determinant check")
-    return F.with_verification(v)
+    return verify_against(S, F, cap=cap, seed=seed)

@@ -10,11 +10,10 @@ land on z'.
 from dataclasses import dataclass
 
 from .cyclotomic import CycNum, parse_cyc
-from .determinant import paratrophic_determinant
+from .determinant import verify_against
 from .errors import (CocycleDomainMismatch, CocycleInvalid, FormatError,
-                     NotNilpotentAdjoined, NoUniqueAnnihilator,
-                     VerificationFailed)
-from .factorization import Factorization, checked, random_contracted_check
+                     NotNilpotentAdjoined, NoUniqueAnnihilator)
+from .factorization import Factorization
 from .linalg import cyc_det
 from .poly import DEFAULT_CAP, Poly
 
@@ -211,26 +210,15 @@ def factor_nil_adjoined(M, cocycle=None, cap=DEFAULT_CAP, seed=0):
             notes=(f"{len(rep.annihilators)} two-sided annihilating "
                    f"elements instead of one",),
             order=order)
-        return _verify_nil(M, cocycle, F, mode, cap, seed)
-    mat, basis, zp = annihilator_matrix(M, cocycle)
-    d = cyc_det([row[:] for row in mat])
-    if d.is_zero():
-        F = Factorization.zero(
-            "nilpotent-annihilator",
-            notes=("the annihilator matrix is singular: det A = 0",),
-            order=order)
-        return _verify_nil(M, cocycle, F, mode, cap, seed)
-    F = Factorization.of(d, [(Poly.variable(zp, order), M.n - 1)],
-                         "nilpotent-annihilator")
-    return _verify_nil(M, cocycle, F, mode, cap, seed)
-
-
-def _verify_nil(M, cocycle, F, mode, cap, seed):
-    if M.n - 1 <= cap:
-        ref = paratrophic_determinant(M, mode=mode, cocycle=cocycle, cap=cap)
-        return checked(ref, F, mode="exact", seed=seed)
-    v = random_contracted_check(M, cocycle, F, seed)
-    if not v["equal"]:
-        raise VerificationFailed("nilpotent factorization failed a "
-                                 "randomized determinant check")
-    return F.with_verification(v)
+    else:
+        mat, basis, zp = annihilator_matrix(M, cocycle)
+        d = cyc_det([row[:] for row in mat])
+        if d.is_zero():
+            F = Factorization.zero(
+                "nilpotent-annihilator",
+                notes=("the annihilator matrix is singular: det A = 0",),
+                order=order)
+        else:
+            F = Factorization.of(d, [(Poly.variable(zp, order), M.n - 1)],
+                                 "nilpotent-annihilator")
+    return verify_against(M, F, mode, cocycle, cap, seed)

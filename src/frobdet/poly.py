@@ -216,6 +216,8 @@ class Poly:
     __rmul__ = __mul__
 
     def __pow__(self, k):
+        if k < 0:
+            raise ValueError("negative power of a polynomial")
         out = Poly.const(1, self.order)
         base = self
         while k:

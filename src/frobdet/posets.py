@@ -11,9 +11,10 @@ from math import gcd
 from .cyclotomic import CycNum
 from .errors import (ModeHypothesisFailed, NotAPartialOrder, NotSemilattice,
                      VerificationFailed)
-from .factorization import Factorization, checked, random_table_check
+from .determinant import verify_against
+from .factorization import Factorization
 from .linalg import int_det, unitriangular_inverse
-from .poly import LinForm, Poly, det_poly_matrix
+from .poly import DEFAULT_CAP, LinForm
 
 
 @dataclass(frozen=True)
@@ -149,12 +150,12 @@ def semilattice_linear_forms(S):
     return forms
 
 
-def factor_semilattice(S, verify_cap=8, seed=0):
+def factor_semilattice(S, cap=DEFAULT_CAP, seed=0):
     """Factor the determinant of a finite semilattice.
 
-    Raises NotSemilattice unless S is commutative and idempotent. For
-    |S| <= verify_cap the product is checked against the symbolic
-    determinant exactly; larger cases carry a randomized check.
+    Raises NotSemilattice unless S is commutative and idempotent. The
+    product is checked by verify_against: exactly for |S| <= cap, by a
+    randomized check above it.
     """
     rep_ok = all(S.table[a][a] == a for a in range(S.n)) and \
         all(S.table[a][b] == S.table[b][a]
@@ -164,16 +165,7 @@ def factor_semilattice(S, verify_cap=8, seed=0):
     forms = semilattice_linear_forms(S)
     F = Factorization.of(CycNum.one(), [(f, 1) for f in forms],
                          "wilf-lindstrom")
-    if S.n <= verify_cap:
-        mat = [[Poly.variable(S.table[a][b]) for b in range(S.n)]
-               for a in range(S.n)]
-        ref = det_poly_matrix(mat, cap=max(12, S.n))
-        return checked(ref, F, mode="exact", seed=seed)
-    v = random_table_check(S, F, seed=seed)
-    if not v["equal"]:
-        raise VerificationFailed("semilattice factorization failed "
-                                 "a randomized determinant check")
-    return F.with_verification(v)
+    return verify_against(S, F, cap=cap, seed=seed)
 
 
 def smith_matrix(n):

@@ -1,10 +1,18 @@
 import contextlib
 import io
+import itertools
 import json
+import os
 import pathlib
+import subprocess
 import sys
 
-from frobdet.cli import run
+import pytest
+
+import frobdet
+from frobdet.cli import form_poly, run
+from frobdet.cyclotomic import parse_cyc
+from frobdet.poly import Poly
 from frobdet.semigroups import build_family, emit_sgp
 
 from corpus import zmult
@@ -289,3 +297,73 @@ def test_det_contracted_excludes_zero_variable():
     data = json.loads(out)
     assert "x8" not in data["determinant"]
     assert data["degree"] == 8
+
+
+def leibniz_det(S):
+    """det [x_{st}] as a signed sum over permutations, independent of the
+    library's determinant code."""
+    det = Poly.zero()
+    for perm in itertools.permutations(range(S.n)):
+        inversions = sum(1 for i, j in itertools.combinations(range(S.n), 2)
+                         if perm[i] > perm[j])
+        term = Poly.const(-1 if inversions % 2 else 1)
+        for row, col in enumerate(perm):
+            term = term * Poly.variable(S.table[row][col])
+        det = det + term
+    return det
+
+
+def test_plain_factor_of_every_small_commutative_table(commutative_tables):
+    wrong = []
+    for tables in commutative_tables.values():
+        for S in tables:
+            sgp = emit_sgp(S)
+            code, out, err = run_cli(["factor", "-", "--json"], stdin=sgp)
+            assert code == 0, err
+            data = json.loads(out)
+            theta = leibniz_det(S)
+            if data["status"] in ("zero", "factored"):
+                order = data["cyclotomic_order"]
+                p = Poly.const(parse_cyc(data["constant"], order))
+                for item in data["factors"]:
+                    p = p * form_poly(item["form"], order) \
+                        ** item["multiplicity"]
+                ok = p == theta and data["verification"]["mode"] == "exact"
+            else:
+                ok = (data["status"] == "not_frobenius") == theta.is_zero()
+            if not ok:
+                wrong.append(sgp)
+    assert not wrong, f"{len(wrong)} wrong, first:\n{wrong[0]}"
+
+
+GOOD_FACTOR = {"status": "factored", "constant": "1", "cyclotomic_order": 1,
+               "factors": [{"form": {"x0": "1", "x1": "1"},
+                            "multiplicity": 1},
+                           {"form": {"x0": "1", "x1": "-1"},
+                            "multiplicity": 1}]}
+
+
+@pytest.mark.parametrize("bad", [
+    dict(GOOD_FACTOR, factors=5),
+    dict(GOOD_FACTOR, factors=[{"form": {"x0": "1", "x1": "1"}}]),
+    [GOOD_FACTOR],
+    dict(GOOD_FACTOR, cyclotomic_order="7"),
+    dict(GOOD_FACTOR, factors=[{"form": {"x0": "1", "x1": "1"},
+                                "multiplicity": -3}]),
+], ids=["factors-not-a-list", "missing-multiplicity", "top-level-list",
+        "order-as-string", "negative-multiplicity"])
+def test_verify_rejects_malformed_factorization_json(tmp_path, bad):
+    (tmp_path / "z2.det").write_text("x0^2-x1^2\n")
+    (tmp_path / "bad.json").write_text(json.dumps(bad))
+    src = str(pathlib.Path(frobdet.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    # a separate process, so that a hang fails the test instead of the run
+    proc = subprocess.run(
+        [sys.executable, "-m", "frobdet.cli", "verify",
+         str(tmp_path / "z2.det"), str(tmp_path / "bad.json")],
+        capture_output=True, text=True, timeout=30, env=env)
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert len(proc.stderr.splitlines()) == 1
+    assert proc.stderr.startswith("error: ")

@@ -2,16 +2,22 @@ from fractions import Fraction
 
 import pytest
 
+from frobdet.commutative import factor_commutative, factor_local
 from frobdet.cyclotomic import CycNum
 from frobdet.determinant import (RepMatrix, backnforth_check, cayley_matrix,
-                                 constant_by_division, factor_group_determinant,
-                                 frobenius_test, paratrophic_determinant,
-                                 transport_basis)
+                                 factor_group_determinant, frobenius_test,
+                                 paratrophic_determinant, transport_basis)
 from frobdet.errors import (NoZero, NotAbelianWithoutReps, NotAGroup,
                             NotMultiplicative, RepDimensionMismatch, SingularP)
-from frobdet.poly import Poly, det_poly_matrix, parse_poly
-from frobdet.semigroups import (build_family, direct_product, group_of_units,
-                                subsemigroup, validate_table)
+from frobdet.factorization import equivalent
+from frobdet.groupoids import factor_clifford
+from frobdet.nilpotent import factor_nil_adjoined, parse_cocycle
+from frobdet.poly import DEFAULT_CAP, Poly, det_poly_matrix, parse_poly
+from frobdet.posets import factor_semilattice
+from frobdet.semigroups import (adjoin_zero, build_family, direct_product,
+                                group_of_units, subsemigroup, validate_table)
+
+from corpus import wenger_monoid, zmult
 
 
 def test_plain_matrix_and_det_z2():
@@ -236,9 +242,41 @@ def test_rep_validation():
     assert F.constant == 1
 
 
-def test_constant_by_division():
-    theta = parse_poly("x0^2-x1^2")
-    c = constant_by_division(
-        theta.scale(CycNum.from_rational(Fraction(-3, 2))),
-        ((parse_poly("x0+x1"), 1), (parse_poly("x0-x1"), 1)))
-    assert c == Fraction(-3, 2)
+def test_group_constant_is_leading_coefficient():
+    groups = [(build_family("zmod_add", n), None) for n in range(2, 8)]
+    S3, _ = group_of_units(build_family("full_transform", 3))
+    groups.append((S3, _s3_reps(S3)))
+    for G, reps in groups:
+        F = factor_group_determinant(G, reps=reps)
+        assert F.constant == paratrophic_determinant(G).leading()[1], G.n
+
+
+def _three_nil_twist(cap):
+    M = build_family("three_nil", "10,01")
+    cocycle = parse_cocycle("order 4\ns1 s1 z\n", M)
+    return factor_nil_adjoined(M, cocycle, cap=cap)
+
+
+# One small input per factorization route, called with a cap.
+ROUTES = {
+    "semilattice": lambda cap: factor_semilattice(build_family("gcd", 4),
+                                                  cap=cap),
+    "abelian-group": lambda cap: factor_group_determinant(
+        build_family("zmod_add", 4), cap=cap),
+    "clifford": lambda cap: factor_clifford(
+        adjoin_zero(build_family("zmod_add", 3)), cap=cap),
+    "nilpotent-contracted": lambda cap: factor_nil_adjoined(
+        build_family("cyclic_nilpotent", 3), cap=cap),
+    "nilpotent-twisted": _three_nil_twist,
+    "local": lambda cap: factor_local(wenger_monoid(), cap=cap),
+    "commutative": lambda cap: factor_commutative(zmult(8), cap=cap),
+}
+
+
+@pytest.mark.parametrize("route", ROUTES)
+def test_each_route_checks_exactly_and_at_random_points(route):
+    randomized, exact = ROUTES[route](0), ROUTES[route](DEFAULT_CAP)
+    assert randomized.verification["mode"] == "randomized"
+    assert exact.verification["mode"] == "exact"
+    assert randomized.verification["equal"] and exact.verification["equal"]
+    assert equivalent(randomized, exact)

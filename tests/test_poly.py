@@ -40,6 +40,8 @@ def test_poly_arithmetic():
     assert (x(0) + 1) ** 2 == x(0) ** 2 + 2 * x(0) + 1
     assert (p - p).is_zero()
     assert x(0) * Poly.zero() == Poly.zero()
+    with pytest.raises(ValueError):
+        x(0) ** -3
 
 
 def test_poly_str_canonical():

@@ -132,11 +132,11 @@ def test_factor_semilattice_rejects():
 
 
 def test_factor_semilattice_large_randomized():
-    # 3-cube semilattice, 8 elements with verify_cap lowered to force the
+    # 3-cube semilattice, 8 elements with cap lowered to force the
     # randomized path, then the exact path at default cap for agreement
     two = build_family("chain_semilattice", 2)
     cube = direct_product(direct_product(two, two), two)
-    F = factor_semilattice(cube, verify_cap=4)
+    F = factor_semilattice(cube, cap=4)
     assert F.verification["mode"] == "randomized" and F.verification["equal"]
     F2 = factor_semilattice(cube)
     assert F2.verification["mode"] == "exact" and F2.verification["equal"]
