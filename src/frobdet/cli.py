@@ -13,7 +13,7 @@ import sys
 from math import gcd, lcm
 
 from .commutative import factor_commutative, factor_local
-from .cyclotomic import CycNum, parse_cyc
+from .cyclotomic import parse_cyc
 from .determinant import factor_group_determinant, frobenius_test, \
     paratrophic_determinant, verify_against
 from .errors import (
@@ -420,9 +420,7 @@ def cmd_gen(args):
             raise FrobdetError(f"family {family} takes one .sgp input")
         S = FAMILIES[family](load_semigroup(args.params[0]))
     else:
-        params = [int(p) if p.lstrip("-").isdigit() else p
-                  for p in args.params]
-        S = build_family(family, *params)
+        S = build_family(family, *args.params)
     text = emit_sgp(S)
     if args.json:
         print(json.dumps({"status": "ok", "family": family,
@@ -545,7 +543,7 @@ def cmd_verify(args):
             continue
         if ln.startswith("#"):
             toks = ln[1:].split()
-            if len(toks) == 2 and toks[0] == "order:" and toks[1].isdigit():
+            if len(toks) == 2 and toks[0] == "order:" and toks[1].isdecimal():
                 det_order = int(toks[1])
             continue
         if poly_line is None:
@@ -577,7 +575,16 @@ def cmd_verify(args):
     return 0 if v["equal"] else 1
 
 
+_PARSER = None
+
+
 def build_parser():
+    """The argument parser. The first call builds it and every later call
+    returns the same object: parse_args keeps no state in the parser, so
+    one serves every request of a process."""
+    global _PARSER
+    if _PARSER is not None:
+        return _PARSER
     parser = argparse.ArgumentParser(
         prog="frobdet",
         description="Exact semigroup determinants: compute, test, factor.")
@@ -679,6 +686,7 @@ def build_parser():
     common(p, modes=True)
     p.set_defaults(func=cmd_verify)
 
+    _PARSER = parser
     return parser
 
 

@@ -378,7 +378,7 @@ def parse_cyc(text, order=1):
                 coeff, mono = _ONE, term
             if mono == "z":
                 k = 1
-            elif mono.startswith("z^") and mono[2:].isdigit():
+            elif mono.startswith("z^") and mono[2:].isdecimal():
                 k = int(mono[2:])
             else:
                 raise ParseError(f"bad cyclotomic literal {text!r}")
@@ -395,7 +395,7 @@ def _parse_rat(s, context):
         raise ParseError(f"bad rational {s!r} in {context!r}")
     if "/" in s:
         nu, _, de = s.partition("/")
-        if not nu.isdigit() or not de.isdigit():
+        if not nu.isdigit() or not de.isdigit() or int(de) == 0:
             raise ParseError(f"bad rational {s!r} in {context!r}")
         return Fraction(int(nu), int(de))
     return Fraction(int(s))

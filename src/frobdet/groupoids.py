@@ -15,7 +15,6 @@ from .determinant import (factor_group_determinant, paratrophic_determinant,
 from .errors import (NonabelianWithoutReps, NotClifford, NotInverse,
                      VerificationFailed)
 from .factorization import Factorization
-from .linalg import unitriangular_inverse
 from .poly import DEFAULT_CAP, LinForm, Poly, det_poly_matrix
 from .posets import mobius, natural_order
 from .semigroups import analyze, maximal_subgroup

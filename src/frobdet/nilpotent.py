@@ -8,6 +8,7 @@ land on z'.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .cyclotomic import CycNum, parse_cyc
 from .determinant import verify_against
@@ -24,11 +25,13 @@ class Cocycle:
     order: int
     values: tuple  # tuple of ((s, t), CycNum), only the entries not 1
 
+    @cached_property
+    def _value_of(self):
+        return dict(self.values)
+
     def value(self, s, t):
-        for (a, b), v in self.values:
-            if (a, b) == (s, t):
-                return v
-        return CycNum.one(self.order)
+        v = self._value_of.get((s, t))
+        return CycNum.one(self.order) if v is None else v
 
     @staticmethod
     def for_monoid(M, values=None, order=1):
@@ -91,15 +94,17 @@ def parse_cocycle(text, M):
     start = 0
     if lines and lines[0].startswith("order"):
         toks = lines[0].split()
-        if len(toks) != 2 or not toks[1].isdigit() or int(toks[1]) < 1:
+        if len(toks) != 2 or not toks[1].isdecimal() or int(toks[1]) < 1:
             raise FormatError(f"bad order line {lines[0]!r}")
         order = int(toks[1])
         start = 1
 
+    index = {name: i for i, name in enumerate(M.names or ())}
+
     def resolve(tok):
-        if M.names and tok in M.names:
-            return M.names.index(tok)
-        if M.names is None and tok.isdigit() and 1 <= int(tok) <= M.n:
+        if tok in index:
+            return index[tok]
+        if M.names is None and tok.isdecimal() and 1 <= int(tok) <= M.n:
             return int(tok) - 1
         raise FormatError(f"unknown element {tok!r}")
 

@@ -529,10 +529,10 @@ def _parse_term(term, sign, order, context):
             body = f[1:]
             if "^" in body:
                 v_s, _, e_s = body.partition("^")
-                if not v_s.isdigit() or not e_s.isdigit() or int(e_s) < 1:
+                if not v_s.isdecimal() or not e_s.isdecimal() or int(e_s) < 1:
                     raise ParseError(f"bad factor {f!r} in {context!r}")
                 v, e = int(v_s), int(e_s)
-            elif body.isdigit():
+            elif body.isdecimal():
                 v, e = int(body), 1
             else:
                 raise ParseError(f"bad factor {f!r} in {context!r}")

@@ -5,6 +5,7 @@ for IO and display. The zero and identity, when they exist, are detected at
 construction and stored.
 """
 
+import re
 from dataclasses import dataclass
 from itertools import product as iproduct
 
@@ -259,6 +260,8 @@ def group_exponent(G):
 def _gcd_family(n):
     if n < 1:
         raise ParamOutOfRange("gcd family needs n >= 1")
+    if n > SIZE_CAP:
+        raise SizeOverflow(f"size {n} exceeds cap {SIZE_CAP}")
     from math import gcd
     rows = [[0] * n for _ in range(n)]
     for i in range(1, n + 1):
@@ -273,6 +276,8 @@ def _cyclic_nilpotent(k):
     if k < 1:
         raise ParamOutOfRange("cyclic_nilpotent needs k >= 1")
     n = k + 1  # identity, a..a^(k-1), zero
+    if n > SIZE_CAP:
+        raise SizeOverflow(f"size {n} exceeds cap {SIZE_CAP}")
     z = n - 1
 
     def enc(p):  # a^p for p >= 1
@@ -389,9 +394,23 @@ FAMILIES = {
 
 
 def build_family(family, *params):
+    """A member of a named family, built from its one parameter: the
+    semigroup to extend for adjoin_identity and adjoin_zero, the 0/1 rows
+    for three_nil (text such as "10,01"), and for every other family an
+    integer, given as an int or as its decimal text."""
     if family not in FAMILIES:
         raise UnknownFamily(f"unknown family {family!r}; known: {sorted(FAMILIES)}")
-    return FAMILIES[family](*params)
+    if len(params) != 1:
+        raise ParamOutOfRange(
+            f"family {family} takes one parameter, got {len(params)}")
+    (param,) = params
+    if family not in ("three_nil", "adjoin_identity", "adjoin_zero"):
+        if isinstance(param, str) and re.fullmatch("-?[0-9]+", param):
+            param = int(param)
+        elif not isinstance(param, int) or isinstance(param, bool):
+            raise ParamOutOfRange(
+                f"family {family} takes an integer parameter, got {param!r}")
+    return FAMILIES[family](param)
 
 
 def enumerate_commutative(n):
@@ -449,18 +468,20 @@ def parse_sgp(text):
         raise SizeOverflow(f"size {n} exceeds cap {SIZE_CAP}")
     pos += 1
     names = None
+    index = {}
     if peek() is not None and peek().startswith("elements"):
         names = tuple(lines[pos].split()[1:])
         if len(names) != n:
             raise FormatError(f"{len(names)} names for {n} elements")
-        if len(set(names)) != n:
+        index = {name: i for i, name in enumerate(names)}
+        if len(index) != n:
             raise DuplicateName("element names are not distinct")
         pos += 1
 
     def resolve(tok):
-        if names is not None and tok in names:
-            return names.index(tok)
-        if tok.isdigit():
+        if tok in index:
+            return index[tok]
+        if tok.isdecimal():
             v = int(tok)
             if 1 <= v <= n and names is None:
                 return v - 1

@@ -4,12 +4,16 @@ import itertools
 import json
 import os
 import pathlib
+import random
+import re
+import signal
 import subprocess
 import sys
 
 import pytest
 
 import frobdet
+from frobdet import cli
 from frobdet.cli import form_poly, run
 from frobdet.cyclotomic import parse_cyc
 from frobdet.poly import Poly
@@ -367,3 +371,176 @@ def test_verify_rejects_malformed_factorization_json(tmp_path, bad):
     assert proc.stdout == ""
     assert len(proc.stderr.splitlines()) == 1
     assert proc.stderr.startswith("error: ")
+
+
+def run_fresh(argv, stdin=None):
+    """Run the CLI in a new interpreter: (exit code, stdout, stderr)."""
+    src = str(pathlib.Path(frobdet.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-m", "frobdet.cli", *argv],
+                          input=stdin, capture_output=True, text=True,
+                          timeout=60, env=env)
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+def test_reused_parser_leaks_no_state(tmp_path):
+    gcd4 = emit_sgp(build_family("gcd", 4))
+    _, det_out, _ = run_cli(["det", "-"], stdin=gcd4)
+    _, fact_out, _ = run_cli(["factor", "-", "--json"], stdin=gcd4)
+    (tmp_path / "g.det").write_text(det_out)
+    (tmp_path / "g.json").write_text(fact_out)
+    verify = ["verify", str(tmp_path / "g.det"), str(tmp_path / "g.json")]
+    # --cap 3 sits below the table's size, so only --exact makes the
+    # check exact and a leaked --exact would show in the second call
+    calls = [(["factor", "-", "--exact", "--cap", "3", "--json"], gcd4),
+             (["factor", "-", "--cap", "3", "--json"], gcd4),
+             (["det", WENGER, "--contracted"], None),
+             (["det", WENGER], None),
+             (["factor", "-", "--exact", "--randomized"], gcd4),
+             (["factor", "-"], gcd4),
+             (verify + ["--randomized", "--json"], None),
+             (verify + ["--json"], None)]
+    results = [run_cli(argv, stdin) for argv, stdin in calls]
+    assert [r[0] for r in results] == [0, 0, 0, 0, 2, 0, 0, 0]
+    assert '"mode": "exact"' in results[0][1]
+    assert '"mode": "randomized"' in results[1][1]
+    for (argv, stdin), result in zip(calls, results):
+        assert result == run_fresh(argv, stdin), argv
+    assert cli.build_parser() is cli.build_parser()
+
+
+BAD_INPUT = [  # (argv, stdin); FACT names a well-formed factorization file
+    (["gen", "gcd", "abc"], None),
+    (["gen", "gcd"], None),
+    (["gen", "gcd", "4", "5"], None),
+    (["gen", "rook"], None),
+    (["gen", "rook", "2", "3"], None),
+    (["gen", "cyclic_nilpotent", "x"], None),
+    (["gen", "three_nil"], None),
+    (["gen", "three_nil", "2"], None),
+    (["gen", "gcd", "²"], None),
+    (["gen", "gcd", "5000"], None),
+    (["gen", "cyclic_nilpotent", "5000"], None),
+    (["gen", "adjoin_zero"], None),
+    (["factor", "-"], "n 2\ntable\n1 1\n² 2\n"),
+    (["det", WENGER, "--twist", "-"], "order ²\n"),
+    (["det", WENGER, "--twist", "-"], "order 4\na a 1/0\n"),
+    (["det", WENGER, "--twist", "-"], "order 4\na a z^²\n"),
+    (["verify", "-", "FACT"], "x0^²-x1^2\n"),
+]
+
+
+@pytest.mark.parametrize("argv, stdin", BAD_INPUT,
+                         ids=[" ".join(a[:1] + a[1:][-2:]) + f" {i}"
+                              for i, (a, _) in enumerate(BAD_INPUT)])
+def test_bad_input_exits_1_with_one_line(tmp_path, argv, stdin):
+    fact = tmp_path / "fact.json"
+    fact.write_text(json.dumps(GOOD_FACTOR))
+    argv = [str(fact) if a == "FACT" else a for a in argv]
+    code, out, err = run_cli(argv, stdin=stdin)
+    assert code == 1 and out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
+@pytest.mark.parametrize("bits, entry", [("1", "zp"), ("0", "z")])
+def test_gen_three_nil_of_a_one_by_one_matrix(bits, entry):
+    code, out, err = run_cli(["gen", "three_nil", bits])
+    assert code == 0, err
+    assert f"s1 {entry} z z" in out.splitlines()
+
+
+class CaseTimeout(BaseException):
+    """Raised by the alarm in a fuzz case that runs past its limit."""
+
+
+def _alarm(signum, frame):
+    raise CaseTimeout()
+
+
+FUZZ_TOKEN = re.compile(r"\w+|[^\s\w]")
+FUZZ_TOKENS = ["0", "1", "-1", "2", "7", "99", "1/0", "3/2", "z", "z^3",
+               "x9", "x0^2", "²", "٣", "é", "order", "table", "zero",
+               "identity", "null", "true", "[]", "{}", "-", "#", ","]
+
+
+def mutate(text, rng):
+    """One or two random edits at a word of text: delete it, repeat it,
+    swap it with another token (a word or a punctuation mark), or replace
+    it by another token of the text or of FUZZ_TOKENS."""
+    for _ in range(rng.randint(1, 2)):
+        spans = [m.span() for m in FUZZ_TOKEN.finditer(text)]
+        words = [(i, j) for i, j in spans if text[i:j][0].isalnum()]
+        if not words:
+            break
+        i, j = rng.choice(words)
+        tok = text[i:j]
+        op = rng.randrange(4)
+        if op == 0:
+            text = text[:i] + text[j:]
+        elif op == 1:
+            text = text[:i] + tok + " " + tok + text[j:]
+        elif op == 2:
+            k, l = rng.choice(spans)
+            if (k, l) < (i, j):
+                (i, j), (k, l) = (k, l), (i, j)
+            if k >= j:
+                text = text[:i] + text[k:l] + text[j:k] + text[i:j] + text[l:]
+        else:
+            pool = FUZZ_TOKENS + [text[k:l] for k, l in spans]
+            text = text[:i] + rng.choice(pool) + text[j:]
+    return text
+
+
+def fuzz_cases(tmp_path):
+    """(argv, stdin text) pairs: mutated .sgp tables of order <= 5 for
+    factor, det and info; mutated cocycle files for a twisted det and
+    factor; mutated `factor --json` output for verify."""
+    rng = random.Random(20211)
+    tables = [emit_sgp(build_family(*p)) for p in
+              [("gcd", 4), ("zmod_add", 3), ("cyclic_nilpotent", 3),
+               ("three_nil", "10,01"), ("chain_semilattice", 2),
+               ("left_zero", 2), ("rook", 1)]]
+    tables.append("n 3\ntable\n1 2 3\n2 2 3\n3 3 3\nidentity 1\n")
+    commands = [["factor", "-"], ["factor", "-", "--json"],
+                ["factor", "-", "--contracted"], ["det", "-"], ["info", "-"]]
+    cases = [(rng.choice(commands), mutate(rng.choice(tables), rng))
+             for _ in range(80)]
+    monoid = tmp_path / "tn.sgp"
+    monoid.write_text(emit_sgp(build_family("three_nil", "10,01")))
+    cocycles = ["s1 s1 -1\ns2 s2 -1\n", "order 4\ns1 s1 z\n",
+                "# a comment\norder 6\ns1 s1 z^2\ns2 s2 -z\n"]
+    for _ in range(60):
+        argv = [rng.choice(["det", "factor"]), str(monoid), "--twist", "-"]
+        cases.append((argv, mutate(rng.choice(cocycles), rng)))
+    facts = []
+    for family, param in [("gcd", 3), ("zmod_add", 3), ("three_nil", "10,01")]:
+        sgp = emit_sgp(build_family(family, param))
+        det_file = tmp_path / f"{family}.det"
+        det_file.write_text(run_cli(["det", "-"], stdin=sgp)[1])
+        fact = run_cli(["factor", "-", "--json"], stdin=sgp)[1]
+        facts.append((str(det_file), fact))
+    for _ in range(60):
+        det_file, fact = rng.choice(facts)
+        cases.append((["verify", det_file, "-"], mutate(fact, rng)))
+    return cases
+
+
+def test_fuzzed_inputs_end_in_an_exit_code_and_one_line(tmp_path):
+    failures = []
+    saved = signal.signal(signal.SIGALRM, _alarm)
+    try:
+        for argv, text in fuzz_cases(tmp_path):
+            signal.alarm(5)
+            try:
+                code, _, err = run_cli(argv, stdin=text)
+            except (Exception, CaseTimeout) as e:
+                failures.append((argv, text, repr(e)))
+                continue
+            finally:
+                signal.alarm(0)
+            if code not in (0, 1, 2) or len(err.splitlines()) > 1:
+                failures.append((argv, text, (code, err)))
+    finally:
+        signal.signal(signal.SIGALRM, saved)
+    assert not failures, f"{len(failures)} failures, first: {failures[0]!r}"
