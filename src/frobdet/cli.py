@@ -320,20 +320,20 @@ def dispatch_factor(S, args):
     if rep.is_group and rep.is_commutative:
         return finish_factor(factor_group_determinant(S, cap=cap,
                                                       seed=args.seed), S)
+    clifford_error = None
     try:
         if rep.central_idempotents:
-            F = factor_clifford(S, cap=cap, seed=args.seed)
-            return finish_factor(F, S)
+            try:
+                return finish_factor(factor_clifford(S, cap=cap,
+                                                     seed=args.seed), S)
+            except (NonabelianWithoutReps, DimensionCap) as e:
+                clifford_error = e
         theta, record = inverse_determinant(S, cap=cap)
         return inverse_result(S, theta, record, args)
     except NotInverse:
         pass
-    except (NonabelianWithoutReps, DimensionCap) as e:
-        try:
-            theta, record = inverse_determinant(S, cap=cap)
-            return inverse_result(S, theta, record, args)
-        except (NonabelianWithoutReps, DimensionCap):
-            skipped.append(f"inverse route skipped: {e}")
+    except DimensionCap as e:
+        skipped.append(f"inverse route skipped: {clifford_error or e}")
     try:
         F = factor_nil_adjoined(S, None, cap=cap, seed=args.seed)
         return finish_factor(verify_against(S, lift_zero(F, S.zero), "plain",

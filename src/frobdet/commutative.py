@@ -25,7 +25,7 @@ from .factorization import Factorization, equivalent
 from .linalg import cyc_det
 from .nilpotent import Cocycle, analyze_nilpotent, annihilator_matrix
 from .poly import DEFAULT_CAP, LinForm, Poly, poly_identity_test
-from .posets import mobius, natural_order, splus_map
+from .posets import mobius_forms, natural_order, splus_map
 from .semigroups import analyze, group_of_units, validate_table
 
 
@@ -92,21 +92,11 @@ def splus_decompose(S):
     return SplusDecomposition(splus, order, classes, ideals, local_monoids)
 
 
-def mobius_substitution(S, mode="central_idempotent"):
-    """y_s = sum over t <= s of mu(t, s) x_t, one Poly per element."""
-    order = natural_order(S, mode)
-    mu = mobius(order)
-    return {s: LinForm.make({u: Fraction(mu[u][s])
-                             for u in order.down_set(s)
-                             if mu[u][s] != 0}).to_poly()
-            for s in range(S.n)}
-
-
 def global_decomposition_check(S, cap=DEFAULT_CAP):
     """Verify symbolically that the determinant of S is the product of the
     local contracted determinants at the Mobius forms."""
     dec = splus_decompose(S)
-    sub = mobius_substitution(S)
+    sub = mobius_forms(S, "central_idempotent")
     theta = paratrophic_determinant(S, mode="plain", cap=cap)
     prod = Poly.const(1)
     components = []
@@ -337,7 +327,7 @@ def factor_commutative(S, cap=DEFAULT_CAP, seed=0):
                    + ", ".join(S.name_of(s) for s in missing),))
         return verify_against(S, F, cap=cap, seed=seed)
     dec = splus_decompose(S)
-    sub = mobius_substitution(S)
+    sub = mobius_forms(S, "central_idempotent")
     constant = CycNum.one()
     factors = []
     notes = []

@@ -18,7 +18,7 @@ from .errors import (CocycleDomainMismatch, NoZero, NotAbelianWithoutReps,
 from .factorization import (Factorization, _table_det_at, checked,
                             random_table_check)
 from .linalg import cyc_det, cyc_matrix_inverse, int_det
-from .poly import DEFAULT_CAP, LinForm, Poly, det_poly_matrix, divide_exact
+from .poly import DEFAULT_CAP, LinForm, Poly, det_poly_matrix
 from .semigroups import analyze
 
 RANDOM_BOUND = 10 ** 6
@@ -114,11 +114,12 @@ def backnforth_check(S, cap=DEFAULT_CAP):
     sub = {s: Poly.variable(s) - xz for s in range(S.n) if s != z}
     forward = xz * thetac.substitute(sub)
     ok_forward = forward == theta
-    if theta.is_zero():
-        ok_backward = thetac.is_zero()
-    else:
-        quot = divide_exact(theta, xz)
-        ok_backward = quot.substitute({z: Poly.zero()}) == thetac
+    # theta / x_z at x_z = 0: the terms where x_z has exponent 1, with x_z
+    # struck out. The zero row of the matrix puts x_z in every term.
+    quot = Poly(theta.order, {tuple(p for p in m if p[0] != z): c
+                              for m, c in theta.terms.items()
+                              if dict(m).get(z) == 1})
+    ok_backward = quot == thetac
     return {"forward": ok_forward, "backward": ok_backward,
             "equal": ok_forward and ok_backward}
 

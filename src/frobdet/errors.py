@@ -79,10 +79,6 @@ class NotAbelian(FrobdetError):
     pass
 
 
-class ExactDivisionError(FrobdetError):
-    """Polynomial division left a remainder where exactness was required."""
-
-
 class ParseError(FrobdetError):
     pass
 

@@ -134,6 +134,12 @@ def verify_factorization(reference, F, mode="exact", seed=0, rounds=5):
         return {"equal": True, "mode": "randomized", "rounds": rounds,
                 "seed": seed}
     if mode == "exact":
+        # A nonzero product has the summed degree of its factors, so a
+        # degree mismatch settles the comparison without expanding.
+        nonzero = not F.constant.is_zero() and all(f for f, _ in F.factors)
+        if nonzero and F.degree() != reference.total_degree():
+            return {"equal": False, "mode": "exact", "rounds": 0,
+                    "seed": seed}
         return poly_identity_test(reference, F.expand(), mode="exact",
                                   seed=seed, rounds=rounds)
     rng = random.Random(seed)

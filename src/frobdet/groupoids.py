@@ -15,8 +15,8 @@ from .determinant import (factor_group_determinant, paratrophic_determinant,
 from .errors import (NonabelianWithoutReps, NotClifford, NotInverse,
                      VerificationFailed)
 from .factorization import Factorization
-from .poly import DEFAULT_CAP, LinForm, Poly, det_poly_matrix
-from .posets import mobius, natural_order
+from .poly import DEFAULT_CAP, Poly, det_poly_matrix
+from .posets import mobius_forms
 from .semigroups import analyze, maximal_subgroup
 
 
@@ -151,19 +151,6 @@ def groupoid_determinant(S, cap=DEFAULT_CAP):
     return det
 
 
-def mobius_forms(S):
-    """The change of variables y_s = sum_{t <= s} mu(t, s) x_t on an
-    inverse semigroup, as a map element -> Poly."""
-    poset = natural_order(S, "inverse")
-    mu = mobius(poset)
-    sub = {}
-    for s in range(S.n):
-        coeffs = {t: CycNum.from_rational(mu[t][s])
-                  for t in range(S.n) if poset.leq[t][s] and mu[t][s] != 0}
-        sub[s] = LinForm.make(coeffs).to_poly()
-    return sub
-
-
 def inverse_determinant(S, cap=DEFAULT_CAP):
     """The semigroup determinant of an inverse semigroup, computed through
     the groupoid and the Mobius substitution; checked against the plain
@@ -172,7 +159,7 @@ def inverse_determinant(S, cap=DEFAULT_CAP):
     Returns (theta, record) where record carries the groupoid determinant
     and the substitution."""
     gd = groupoid_determinant(S, cap=cap)
-    sub = mobius_forms(S)
+    sub = mobius_forms(S, "inverse")
     theta = gd.substitute(sub)
     record = {"groupoid_determinant": gd, "substitution": sub}
     if S.n <= cap:
@@ -197,7 +184,7 @@ def factor_clifford(S, reps_by_idempotent=None, cap=DEFAULT_CAP, seed=0):
     g = groupoid_of(S)
     for s in range(S.n):
         assert g.dom[s] == g.ran[s]  # forced by centrality
-    sub = mobius_forms(S)
+    sub = mobius_forms(S, "inverse")
     constant = CycNum.one()
     factors = []
     notes = []

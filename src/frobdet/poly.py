@@ -13,8 +13,7 @@ from functools import cmp_to_key
 from math import lcm
 
 from .cyclotomic import CycNum, _coerce, _rat_str, parse_cyc
-from .errors import (DimensionCap, ExactDivisionError, MissingVariable,
-                     ParseError)
+from .errors import DimensionCap, MissingVariable, ParseError
 
 DEFAULT_CAP = 12
 
@@ -41,23 +40,6 @@ def mono_mul(a, b):
             j += 1
     out.extend(a[i:])
     out.extend(b[j:])
-    return tuple(out)
-
-
-def mono_divides(a, b):
-    """Does monomial a divide b."""
-    db = dict(b)
-    return all(db.get(v, 0) >= e for v, e in a)
-
-
-def mono_div(b, a):
-    """b / a, assuming divisibility."""
-    da = dict(a)
-    out = []
-    for v, e in b:
-        r = e - da.get(v, 0)
-        if r:
-            out.append((v, r))
     return tuple(out)
 
 
@@ -371,39 +353,6 @@ class LinForm:
 
     def to_poly(self):
         return Poly(self.order, {((v, 1),): c for v, c in self.coeffs})
-
-
-def substitute_linear(p, sub):
-    """Substitute each variable of p by a LinForm. sub: var -> LinForm;
-    every variable of p must be present."""
-    missing = p.variables() - set(sub)
-    if missing:
-        raise MissingVariable(f"no substitution for x{sorted(missing)[0]}")
-    return p.substitute({v: lf.to_poly() for v, lf in sub.items()})
-
-
-def divide_exact(f, d):
-    """Exact polynomial quotient f / d; raises ExactDivisionError if the
-    division leaves a remainder."""
-    if d.is_zero():
-        raise ZeroDivisionError("polynomial division by zero")
-    f, d = Poly.unify(f, d)
-    if f.is_zero():
-        return f
-    md, cd = d.leading()
-    q = Poly.zero(f.order)
-    r = f
-    while not r.is_zero():
-        mr, cr = r.leading()
-        if not mono_divides(md, mr):
-            raise ExactDivisionError(
-                f"leading term {mono_str(mr) or '1'} not divisible by {mono_str(md) or '1'}")
-        m = mono_div(mr, md)
-        c = cr / cd
-        t = Poly(f.order, {m: c})
-        q = q + t
-        r = r - t * d
-    return q
 
 
 def det_poly_matrix(matrix, cap=DEFAULT_CAP):

@@ -2,7 +2,9 @@
 
 The semilattice determinant splits into linear factors indexed by the
 elements: for a meet semilattice L the determinant of [x_{ab}] equals
-prod_a sum_{b <= a} mu(b, a) x_b, after Wilf and Lindstrom.
+prod_a sum_{b <= a} mu(b, a) x_b, after Wilf and Lindstrom. The same
+Mobius change of variables, in the natural order of an inverse or a
+commutative semigroup, serves the groupoid and commutative routes.
 """
 
 from dataclasses import dataclass
@@ -132,22 +134,21 @@ def splus_map(S):
     return tuple(splus)
 
 
-def semilattice_linear_forms(S):
-    """The factors of the semilattice determinant, one per element.
+def mobius_forms(S, mode):
+    """The Mobius change of variables y_s = sum_{t <= s} mu(t, s) x_t in
+    the natural order of the given mode, as a map element -> Poly.
 
-    Factor for a is sum over b <= a of mu(b, a) x_b; the product over all
-    a is the determinant on the nose (constant 1).
+    For a semilattice the forms are the Wilf-Lindstrom factors, whose
+    product is the determinant; for an inverse semigroup they carry the
+    groupoid determinant to the semigroup one; for a commutative semigroup
+    they pull the local contracted determinants back to S.
     """
-    poset = natural_order(S, "semilattice")
+    poset = natural_order(S, mode)
     mu = mobius(poset)
-    forms = []
-    for a in range(S.n):
-        terms = {}
-        for b in poset.down_set(a):
-            if mu[b][a] != 0:
-                terms[b] = CycNum.from_rational(mu[b][a])
-        forms.append(LinForm.make(terms).to_poly())
-    return forms
+    return {s: LinForm.make({t: CycNum.from_rational(mu[t][s])
+                             for t in poset.down_set(s)
+                             if mu[t][s] != 0}).to_poly()
+            for s in range(S.n)}
 
 
 def factor_semilattice(S, cap=DEFAULT_CAP, seed=0):
@@ -162,8 +163,8 @@ def factor_semilattice(S, cap=DEFAULT_CAP, seed=0):
             for a in range(S.n) for b in range(a + 1, S.n))
     if not rep_ok:
         raise NotSemilattice("semigroup is not a commutative band")
-    forms = semilattice_linear_forms(S)
-    F = Factorization.of(CycNum.one(), [(f, 1) for f in forms],
+    forms = mobius_forms(S, "semilattice")
+    F = Factorization.of(CycNum.one(), [(f, 1) for f in forms.values()],
                          "wilf-lindstrom")
     return verify_against(S, F, cap=cap, seed=seed)
 

@@ -105,14 +105,6 @@ class FiniteFieldSpec:
         return v[0]
 
 
-def _poly_mul(u, v, p):
-    out = [0] * (len(u) + len(v) - 1)
-    for i, x in enumerate(u):
-        for j, y in enumerate(v):
-            out[i + j] = (out[i + j] + x * y) % p
-    return out
-
-
 def _least_irreducible(p, m):
     """Non-leading coefficients of the least monic irreducible of degree m,
     ordering candidates by their base-p integer encoding. Irreducibility by

@@ -16,6 +16,7 @@ import frobdet
 from frobdet import cli
 from frobdet.cli import form_poly, run
 from frobdet.cyclotomic import parse_cyc
+from frobdet.groupoids import inverse_determinant
 from frobdet.poly import Poly
 from frobdet.semigroups import build_family, emit_sgp
 
@@ -94,6 +95,22 @@ def test_factor_general_inverse_route():
     assert data["provenance"] == "groupoid-mobius"
     assert data["determinant"] != "0"
     assert data["verification"]["mode"] == "exact"
+
+
+def test_inverse_route_expands_the_groupoid_once(monkeypatch):
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return inverse_determinant(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "inverse_determinant", counting)
+    sgp = emit_sgp(build_family("rook", 3))
+    code, out, _ = run_cli(["factor", "-"], stdin=sgp)
+    assert code == 0
+    assert len(calls) == 1
+    assert "note: inverse route skipped: symbolic determinant of dimension" \
+        in out
 
 
 def test_factor_fallback_reports_vanishing():
@@ -371,6 +388,26 @@ def test_verify_rejects_malformed_factorization_json(tmp_path, bad):
     assert proc.stdout == ""
     assert len(proc.stderr.splitlines()) == 1
     assert proc.stderr.startswith("error: ")
+
+
+def test_verify_rejects_a_wrong_degree_without_expanding(tmp_path):
+    fact = dict(GOOD_FACTOR, factors=[{"form": {"x0": "1", "x1": "1"},
+                                       "multiplicity": 3200}])
+    (tmp_path / "z2.det").write_text("x0^2-x1^2\n")
+    (tmp_path / "big.json").write_text(json.dumps(fact))
+    src = str(pathlib.Path(frobdet.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    # expanding (x0+x1)^3200 takes minutes; the degrees decide at once
+    proc = subprocess.run(
+        [sys.executable, "-m", "frobdet.cli", "verify",
+         str(tmp_path / "z2.det"), str(tmp_path / "big.json"), "--json"],
+        capture_output=True, text=True, timeout=20, env=env)
+    assert (proc.returncode, proc.stderr) == (1, "")
+    assert json.loads(proc.stdout) == {
+        "status": "mismatch",
+        "verification": {"equal": False, "mode": "exact", "rounds": 0,
+                         "seed": 0}}
 
 
 def run_fresh(argv, stdin=None):

@@ -3,14 +3,13 @@ from corpus import eleven_monoid, wenger_monoid, zmult
 
 from frobdet.commutative import (chain_fastpath, factor_commutative,
                                  factor_local, global_decomposition_check,
-                                 local_spectrum, mobius_substitution,
-                                 splus_decompose)
+                                 local_spectrum, splus_decompose)
 from frobdet.determinant import (factor_group_determinant,
                                  paratrophic_determinant)
 from frobdet.errors import (IdempotentsNotCentral, NotChain, NotCommutative,
                             NotIdempotentSemigroup, NotLocalShape)
 from frobdet.factorization import equivalent
-from frobdet.posets import factor_semilattice
+from frobdet.posets import factor_semilattice, mobius_forms
 from frobdet.semigroups import (adjoin_zero, build_family,
                                 enumerate_commutative, validate_table)
 
@@ -227,7 +226,7 @@ def test_full_pipeline_above_cap_randomized():
 
 
 def test_mobius_substitution_zmult4():
-    sub = mobius_substitution(zmult(4))
+    sub = mobius_forms(zmult(4), "central_idempotent")
     assert sub[0].to_str() == "x0"
     assert sub[2].to_str() == "-x0+x2"
     assert sub[1].to_str() == "-x0+x1"

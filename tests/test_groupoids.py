@@ -5,7 +5,8 @@ from frobdet.errors import NotClifford, NotInverse
 from frobdet.groupoids import (connected_components, factor_clifford,
                                groupoid_determinant, groupoid_of,
                                groupoid_structure, inverse_determinant,
-                               is_inverse, mobius_forms, star_map)
+                               is_inverse, star_map)
+from frobdet.posets import mobius_forms
 from frobdet.semigroups import (adjoin_zero, build_family, direct_product,
                                 validate_table)
 
@@ -133,6 +134,6 @@ def test_clifford_commutative_inverse_distinct_linear_factors():
 
 def test_mobius_forms_group_trivial():
     G = build_family("zmod_add", 3)
-    sub = mobius_forms(G)
+    sub = mobius_forms(G, "inverse")
     for s in range(3):
         assert sub[s].to_str() == f"x{s}"

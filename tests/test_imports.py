@@ -1,5 +1,6 @@
 import ast
 import pathlib
+from collections import Counter
 
 import pytest
 
@@ -31,3 +32,48 @@ def test_finds_an_unused_import():
                          ids=lambda p: p.name)
 def test_no_unused_module_level_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def names_read(tree):
+    """Every name the tree reads: plain names, attributes, imported names."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.alias):
+            yield node.name
+
+
+def unused_private_functions(sources):
+    """(module, name) of module-level _private functions that no module
+    reads, counting no read from inside the function's own body."""
+    trees = {module: ast.parse(src) for module, src in sources.items()}
+    reads = Counter(n for tree in trees.values() for n in names_read(tree))
+    unused = []
+    for module, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, ast.FunctionDef) \
+                    and node.name.startswith("_") \
+                    and not node.name.startswith("__"):
+                own = sum(1 for n in names_read(node) if n == node.name)
+                if reads[node.name] == own:
+                    unused.append((module, node.name))
+    return sorted(unused)
+
+
+def test_finds_an_unused_private_function():
+    sources = {
+        "a": "def _used():\n    pass\n"
+             "def _self_only(k):\n    return _self_only(k - 1)\n"
+             "def _dead():\n    pass\n"
+             "def __dunder__():\n    pass\n",
+        "b": "from .a import _used\n",
+    }
+    assert unused_private_functions(sources) == [("a", "_dead"),
+                                                 ("a", "_self_only")]
+
+
+def test_no_unused_private_functions():
+    sources = {p.name: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}
+    assert unused_private_functions(sources) == []

@@ -6,13 +6,12 @@ import pytest
 
 from frobdet.cyclotomic import CycNum
 from frobdet.determinant import cayley_matrix
-from frobdet.errors import (DimensionCap, ExactDivisionError, MissingVariable,
-                            NotUnitriangular, ParseError, SingularP)
+from frobdet.errors import (DimensionCap, MissingVariable, NotUnitriangular,
+                            ParseError, SingularP)
 from frobdet.linalg import (cyc_det, cyc_matrix_inverse, int_det,
                             unitriangular_inverse)
-from frobdet.poly import (LinForm, Poly, det_poly_matrix, divide_exact,
-                          mono_cmp, parse_poly, poly_identity_test,
-                          substitute_linear)
+from frobdet.poly import (Poly, det_poly_matrix, mono_cmp, parse_poly,
+                          poly_identity_test)
 from frobdet.semigroups import build_family
 
 
@@ -100,23 +99,6 @@ def test_evaluate():
     z = CycNum.root_of_unity(4)
     q = x(0).scale(z)
     assert q.evaluate({0: 2}) == z * 2
-
-
-def test_substitute_linear():
-    p = x(0) ** 2 - x(1) ** 2
-    sub = {0: LinForm.make({0: 1, 2: -1}), 1: LinForm.make({1: 1})}
-    q = substitute_linear(p, sub)
-    assert q == (x(0) - x(2)) ** 2 - x(1) ** 2
-    with pytest.raises(MissingVariable):
-        substitute_linear(p, {0: LinForm.make({0: 1})})
-
-
-def test_divide_exact():
-    p = (x(0) + x(1)) ** 3 * (x(0) - x(1))
-    q = divide_exact(p, (x(0) + x(1)) ** 2)
-    assert q == (x(0) + x(1)) * (x(0) - x(1))
-    with pytest.raises(ExactDivisionError):
-        divide_exact(x(0) ** 2 + x(1), x(0) + 1)
 
 
 def test_det_examples():

@@ -3,10 +3,12 @@ from fractions import Fraction
 import pytest
 
 from frobdet.errors import ModeHypothesisFailed, NotAPartialOrder, NotSemilattice
+from frobdet.groupoids import is_inverse
 from frobdet.posets import (FinitePoset, factor_semilattice, mobius,
-                            natural_order, smith_determinant, smith_matrix,
-                            splus_map)
-from frobdet.semigroups import build_family, direct_product, validate_table
+                            mobius_forms, natural_order, smith_determinant,
+                            smith_matrix, splus_map)
+from frobdet.semigroups import (analyze, build_family, direct_product,
+                                validate_table)
 
 
 def divisor_poset(n):
@@ -140,6 +142,26 @@ def test_factor_semilattice_large_randomized():
     assert F.verification["mode"] == "randomized" and F.verification["equal"]
     F2 = factor_semilattice(cube)
     assert F2.verification["mode"] == "exact" and F2.verification["equal"]
+
+
+def test_mobius_forms_agree_where_the_natural_orders_coincide(
+        commutative_tables):
+    """On a semilattice all three natural orders are s <= t iff st = s; on
+    any other commutative inverse semigroup the inverse and the
+    central-idempotent orders agree."""
+    semilattices = others = 0
+    for n, tables in commutative_tables.items():
+        for S in tables:
+            if analyze(S).is_semilattice:
+                forms = mobius_forms(S, "semilattice")
+                assert mobius_forms(S, "inverse") == forms
+                assert mobius_forms(S, "central_idempotent") == forms
+                semilattices += 1
+            elif is_inverse(S):
+                assert mobius_forms(S, "inverse") == \
+                    mobius_forms(S, "central_idempotent")
+                others += 1
+    assert (semilattices, others) == (88, 213)
 
 
 def test_smith_values():
