@@ -307,26 +307,27 @@ def dispatch_factor(S, args):
     """Pick the factorization theorem for S; returns (data, lines).
 
     Tries, in order: semilattice, abelian group, Clifford, general
-    inverse, nilpotent-adjoined, commutative. The nilpotent route factors
-    the contracted determinant and lifts it to the plain one. Routes whose
-    hypotheses fail are skipped with a note; when none applies the staged
-    vanishing test runs instead."""
+    inverse, nilpotent-adjoined, commutative. The answer of the first
+    route that applies is checked once against the plain determinant; the
+    nilpotent route factors the contracted determinant, checks it there
+    and lifts it to the plain one. Routes whose hypotheses fail are
+    skipped with a note; when none applies the staged vanishing test runs
+    instead."""
     cap = effective_cap(args, S.n)
     rep = analyze(S)
     skipped = []
     if rep.is_semilattice:
-        return finish_factor(factor_semilattice(S, cap=cap,
-                                                seed=args.seed), S)
+        return finish_factor(checked_factor(S, factor_semilattice(S), args), S)
     if rep.is_group and rep.is_commutative:
-        return finish_factor(factor_group_determinant(S, cap=cap,
-                                                      seed=args.seed), S)
+        return finish_factor(
+            checked_factor(S, factor_group_determinant(S), args), S)
     clifford_error = None
     try:
         if rep.central_idempotents:
             try:
-                return finish_factor(factor_clifford(S, cap=cap,
-                                                     seed=args.seed), S)
-            except (NonabelianWithoutReps, DimensionCap) as e:
+                return finish_factor(
+                    checked_factor(S, factor_clifford(S), args), S)
+            except NonabelianWithoutReps as e:
                 clifford_error = e
         theta, record = inverse_determinant(S, cap=cap)
         return inverse_result(S, theta, record, args)
@@ -335,19 +336,13 @@ def dispatch_factor(S, args):
     except DimensionCap as e:
         skipped.append(f"inverse route skipped: {clifford_error or e}")
     try:
-        F = factor_nil_adjoined(S, None, cap=cap, seed=args.seed)
-        return finish_factor(verify_against(S, lift_zero(F, S.zero), "plain",
-                                            cap=cap, seed=args.seed), S)
+        F = checked_factor(S, factor_nil_adjoined(S), args, "contracted")
+        return finish_factor(lift_zero(F, S.zero), S)
     except NotNilpotentAdjoined:
         pass
-    except DimensionCap as e:
-        skipped.append(f"nilpotent route skipped: {e}")
     if rep.is_commutative:
-        try:
-            return finish_factor(factor_commutative(S, cap=cap,
-                                                    seed=args.seed), S)
-        except DimensionCap as e:
-            skipped.append(f"commutative route skipped: {e}")
+        return finish_factor(
+            checked_factor(S, factor_commutative(S), args), S)
     skipped.append("no factorization theorem applies; "
                    "staged vanishing test only")
     r = frobenius_test(S, seed=args.seed, cap=cap)
@@ -355,6 +350,13 @@ def dispatch_factor(S, args):
     data["provenance"] = None
     lines = frobenius_lines(r, S, extra_notes=skipped)
     return data, lines
+
+
+def checked_factor(S, F, args, mode="plain", cocycle=None):
+    """F with the record of its one check against the plain, contracted
+    or twisted determinant of S, under the cap and seed of the request."""
+    return verify_against(S, F, mode, cocycle, cap=effective_cap(args, S.n),
+                          seed=args.seed)
 
 
 def finish_factor(F, S):
@@ -390,20 +392,20 @@ def cmd_factor(args):
     S = load_semigroup(args.input)
     if args.twist is not None:
         cocycle = parse_cocycle(read_input(args.twist), S)
-        F = factor_nil_adjoined(S, cocycle, cap=effective_cap(args, S.n),
-                                seed=args.seed)
-        data, lines = finish_factor(F, S)
+        F = factor_nil_adjoined(S, cocycle)
+        data, lines = finish_factor(
+            checked_factor(S, F, args, "twisted", cocycle), S)
     elif args.contracted:
-        cap = effective_cap(args, S.n)
         try:
-            F = factor_nil_adjoined(S, None, cap=cap, seed=args.seed)
+            F = factor_nil_adjoined(S)
         except NotNilpotentAdjoined:
             try:
-                F = factor_local(S, cap=cap, seed=args.seed)
+                F = factor_local(S)
             except (NotLocalShape, NotCommutative) as e:
                 raise FrobdetError(
                     "no contracted factorizer applies: " + str(e))
-        data, lines = finish_factor(F, S)
+        data, lines = finish_factor(
+            checked_factor(S, F, args, "contracted"), S)
     else:
         data, lines = dispatch_factor(S, args)
     emit(args, data, lines)

@@ -114,9 +114,11 @@ def verify_factorization(reference, F, mode="exact", seed=0, rounds=5):
     """Check that F multiplies out to the reference polynomial.
 
     mode "exact" expands F and compares term by term; "randomized" compares
-    values at integer points without expanding. Returns the verification
-    record (also attached downstream); raises nothing on mismatch, the
-    caller inspects the 'equal' flag.
+    values at integer points without expanding. In both modes a nonzero F
+    whose degree differs from the reference's is rejected first, without
+    expanding or evaluating. Returns the verification record (also
+    attached downstream); raises nothing on mismatch, the caller inspects
+    the 'equal' flag.
     """
     if F.status == "zero":
         if mode == "exact":
@@ -133,13 +135,12 @@ def verify_factorization(reference, F, mode="exact", seed=0, rounds=5):
                         "seed": seed, "witness": point}
         return {"equal": True, "mode": "randomized", "rounds": rounds,
                 "seed": seed}
+    # A nonzero product has the summed degree of its factors, so a degree
+    # mismatch settles the comparison without expanding or evaluating.
+    nonzero = not F.constant.is_zero() and all(f for f, _ in F.factors)
+    if nonzero and F.degree() != reference.total_degree():
+        return {"equal": False, "mode": mode, "rounds": 0, "seed": seed}
     if mode == "exact":
-        # A nonzero product has the summed degree of its factors, so a
-        # degree mismatch settles the comparison without expanding.
-        nonzero = not F.constant.is_zero() and all(f for f, _ in F.factors)
-        if nonzero and F.degree() != reference.total_degree():
-            return {"equal": False, "mode": "exact", "rounds": 0,
-                    "seed": seed}
         return poly_identity_test(reference, F.expand(), mode="exact",
                                   seed=seed, rounds=rounds)
     rng = random.Random(seed)
@@ -163,7 +164,9 @@ def verify_factorization(reference, F, mode="exact", seed=0, rounds=5):
 def lift_zero(F, z):
     """Turn a factorization of the contracted determinant into one of the
     plain determinant of a semigroup whose zero has id z: multiply by x_z
-    and shift every variable by -x_z."""
+    and shift every variable by -x_z. The verification record of F is
+    carried over: theta = x_z * thetac(x_s - x_z) holds for every
+    semigroup with a zero, so a check of F is a check of the lift."""
     if F.status == "zero":
         return replace(F, notes=F.notes + ("plain determinant vanishes "
                                            "with the contracted one",))
@@ -174,9 +177,10 @@ def lift_zero(F, z):
                for v in f.variables()}
         factors.append((f.substitute(sub), m))
     factors.append((xz, 1))
-    return Factorization.of(F.constant, factors, F.provenance,
-                            F.notes + ("lifted from the contracted "
-                                       "determinant",))
+    lifted = Factorization.of(F.constant, factors, F.provenance,
+                              F.notes + ("lifted from the contracted "
+                                         "determinant",))
+    return lifted.with_verification(F.verification)
 
 
 def _table_det_at(S, point, mode="plain", cocycle=None):

@@ -10,8 +10,7 @@ Mobius change of variables y_s = sum_{t <= s} mu(t, s) x_t.
 from dataclasses import dataclass
 
 from .cyclotomic import CycNum
-from .determinant import (factor_group_determinant, paratrophic_determinant,
-                          verify_against)
+from .determinant import factor_group_determinant, paratrophic_determinant
 from .errors import (NonabelianWithoutReps, NotClifford, NotInverse,
                      VerificationFailed)
 from .factorization import Factorization
@@ -173,7 +172,7 @@ def inverse_determinant(S, cap=DEFAULT_CAP):
     return theta, record
 
 
-def factor_clifford(S, reps_by_idempotent=None, cap=DEFAULT_CAP, seed=0):
+def factor_clifford(S, reps_by_idempotent=None):
     """Factor the determinant of a Clifford semigroup (inverse with
     central idempotents): one group determinant per idempotent, in the
     Mobius variables."""
@@ -192,18 +191,16 @@ def factor_clifford(S, reps_by_idempotent=None, cap=DEFAULT_CAP, seed=0):
         G, ids = maximal_subgroup(S, e)
         grep = analyze(G)
         if grep.is_commutative:
-            FG = factor_group_determinant(G, cap=cap, seed=seed)
+            FG = factor_group_determinant(G)
         else:
             if not reps_by_idempotent or e not in reps_by_idempotent:
                 raise NonabelianWithoutReps(
                     f"group at {S.name_of(e)} is nonabelian and no "
                     f"representations were supplied")
-            FG = factor_group_determinant(
-                G, reps=reps_by_idempotent[e], cap=cap, seed=seed)
+            FG = factor_group_determinant(G, reps=reps_by_idempotent[e])
         constant = constant * FG.constant
         remap = {j: sub[ids[j]] for j in range(G.n)}
         for f, m in FG.factors:
             factors.append((f.substitute(remap), m))
         notes.append(f"group of order {G.n} at {S.name_of(e)}")
-    F = Factorization.of(constant, factors, "clifford-mobius", notes)
-    return verify_against(S, F, cap=cap, seed=seed)
+    return Factorization.of(constant, factors, "clifford-mobius", notes)

@@ -11,12 +11,11 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .cyclotomic import CycNum, parse_cyc
-from .determinant import verify_against
 from .errors import (CocycleDomainMismatch, CocycleInvalid, FormatError,
                      NotNilpotentAdjoined, NoUniqueAnnihilator)
 from .factorization import Factorization
 from .linalg import cyc_det
-from .poly import DEFAULT_CAP, Poly
+from .poly import Poly
 
 
 @dataclass(frozen=True)
@@ -197,7 +196,7 @@ def annihilator_matrix(M, cocycle=None):
     return mat, basis, zp
 
 
-def factor_nil_adjoined(M, cocycle=None, cap=DEFAULT_CAP, seed=0):
+def factor_nil_adjoined(M, cocycle=None):
     """Factor the contracted (optionally twisted) determinant of a
     nilpotent-adjoined monoid: det(A) x_{z'}^(n-1), or Zero with the
     reason surfaced in the notes."""
@@ -208,22 +207,18 @@ def factor_nil_adjoined(M, cocycle=None, cap=DEFAULT_CAP, seed=0):
         raise CocycleDomainMismatch(
             f"cocycle on {cocycle.n} elements, monoid has {M.n}")
     order = cocycle.order if cocycle is not None else 1
-    mode = "twisted" if cocycle is not None else "contracted"
     if rep.unique_annihilator is None:
-        F = Factorization.zero(
+        return Factorization.zero(
             "nilpotent-annihilator",
             notes=(f"{len(rep.annihilators)} two-sided annihilating "
                    f"elements instead of one",),
             order=order)
-    else:
-        mat, basis, zp = annihilator_matrix(M, cocycle)
-        d = cyc_det([row[:] for row in mat])
-        if d.is_zero():
-            F = Factorization.zero(
-                "nilpotent-annihilator",
-                notes=("the annihilator matrix is singular: det A = 0",),
-                order=order)
-        else:
-            F = Factorization.of(d, [(Poly.variable(zp, order), M.n - 1)],
-                                 "nilpotent-annihilator")
-    return verify_against(M, F, mode, cocycle, cap, seed)
+    mat, _, zp = annihilator_matrix(M, cocycle)
+    d = cyc_det([row[:] for row in mat])
+    if d.is_zero():
+        return Factorization.zero(
+            "nilpotent-annihilator",
+            notes=("the annihilator matrix is singular: det A = 0",),
+            order=order)
+    return Factorization.of(d, [(Poly.variable(zp, order), M.n - 1)],
+                            "nilpotent-annihilator")

@@ -11,7 +11,7 @@ from frobdet.commutative import chain_fastpath, factor_commutative, \
 from frobdet.cyclotomic import CycNum
 from frobdet.determinant import (backnforth_check, factor_group_determinant,
                                  frobenius_test, paratrophic_determinant,
-                                 transport_basis)
+                                 transport_basis, verify_against)
 from frobdet.factorization import equivalent
 from frobdet.groupoids import factor_clifford, groupoid_structure, \
     inverse_determinant
@@ -144,7 +144,7 @@ def test_acceptance_06_exhaustive_commutative(capsys, commutative_tables):
         for n in (1, 2, 3, 4):
             for S in commutative_tables[n]:
                 theta = paratrophic_determinant(S)
-                F = factor_commutative(S, cap=8)
+                F = factor_commutative(S)
                 if F.status == "zero":
                     assert theta.is_zero()
                     zeros += 1
@@ -177,7 +177,7 @@ def test_acceptance_08_inverse_semigroups(capsys):
         assert theta == paratrophic_determinant(rook)
         for n in (3, 5):
             S = adjoin_zero(build_family("zmod_add", n))
-            F = factor_clifford(S)
+            F = verify_against(S, factor_clifford(S))
             assert F.verification["equal"]
             assert F.expand() == paratrophic_determinant(S)
 

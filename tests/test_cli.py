@@ -13,12 +13,12 @@ import sys
 import pytest
 
 import frobdet
-from frobdet import cli
+from frobdet import cli, determinant
 from frobdet.cli import form_poly, run
 from frobdet.cyclotomic import parse_cyc
 from frobdet.groupoids import inverse_determinant
 from frobdet.poly import Poly
-from frobdet.semigroups import build_family, emit_sgp
+from frobdet.semigroups import adjoin_zero, build_family, emit_sgp
 
 from corpus import zmult
 
@@ -111,6 +111,55 @@ def test_inverse_route_expands_the_groupoid_once(monkeypatch):
     assert len(calls) == 1
     assert "note: inverse route skipped: symbolic determinant of dimension" \
         in out
+
+
+def test_each_factor_request_checks_its_answer_once(monkeypatch, tmp_path):
+    outcomes, dims = [], []
+
+    def counting(name, fn):
+        def wrapped(*args, **kwargs):
+            outcomes.append(name)
+            return fn(*args, **kwargs)
+        return wrapped
+
+    def measuring(mat, *args, **kwargs):
+        dims.append(len(mat))
+        return det_poly_matrix(mat, *args, **kwargs)
+
+    det_poly_matrix = determinant.det_poly_matrix
+    monkeypatch.setattr(determinant, "checked",
+                        counting("exact", determinant.checked))
+    monkeypatch.setattr(determinant, "random_table_check",
+                        counting("randomized",
+                                 determinant.random_table_check))
+    monkeypatch.setattr(determinant, "det_poly_matrix", measuring)
+
+    def table(name, S):
+        path = tmp_path / f"{name}.sgp"
+        path.write_text(emit_sgp(S))
+        return str(path)
+
+    twist = tmp_path / "twist.coc"
+    twist.write_text("order 4\ns1 s1 z\n")
+    requests = [
+        ([table("gcd6", build_family("gcd", 6))], "exact"),
+        ([table("zmod4", build_family("zmod_add", 4))], "exact"),
+        ([table("z5z", adjoin_zero(build_family("zmod_add", 5)))], "exact"),
+        ([table("zmult27", zmult(27))], "randomized"),
+        ([table("zmult8", zmult(8))], "exact"),
+        ([WENGER, "--contracted"], "exact"),
+        ([table("three_nil", build_family("three_nil", "10,01")),
+          "--twist", str(twist)], "exact"),
+        ([table("cn10", build_family("cyclic_nilpotent", 10))], "exact"),
+    ]
+    for argv, mode in requests:
+        outcomes.clear()
+        dims.clear()
+        code, _, err = run_cli(["factor", *argv])
+        assert code == 0, err
+        assert outcomes == [mode], argv
+    # the plain nilpotent answer is checked on the contracted determinant
+    assert dims == [10]
 
 
 def test_factor_fallback_reports_vanishing():
@@ -391,23 +440,26 @@ def test_verify_rejects_malformed_factorization_json(tmp_path, bad):
 
 
 def test_verify_rejects_a_wrong_degree_without_expanding(tmp_path):
-    fact = dict(GOOD_FACTOR, factors=[{"form": {"x0": "1", "x1": "1"},
-                                       "multiplicity": 3200}])
-    (tmp_path / "z2.det").write_text("x0^2-x1^2\n")
-    (tmp_path / "big.json").write_text(json.dumps(fact))
     src = str(pathlib.Path(frobdet.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
-    # expanding (x0+x1)^3200 takes minutes; the degrees decide at once
-    proc = subprocess.run(
-        [sys.executable, "-m", "frobdet.cli", "verify",
-         str(tmp_path / "z2.det"), str(tmp_path / "big.json"), "--json"],
-        capture_output=True, text=True, timeout=20, env=env)
-    assert (proc.returncode, proc.stderr) == (1, "")
-    assert json.loads(proc.stdout) == {
-        "status": "mismatch",
-        "verification": {"equal": False, "mode": "exact", "rounds": 0,
-                         "seed": 0}}
+    (tmp_path / "z2.det").write_text("x0^2-x1^2\n")
+    # expanding (x0+x1)^3200 takes minutes, and evaluating (x0+x1)^10^7
+    # at a point takes long too; the degrees decide at once
+    for mode, multiplicity in (("exact", 3200), ("randomized", 10 ** 7)):
+        fact = dict(GOOD_FACTOR, factors=[{"form": {"x0": "1", "x1": "1"},
+                                           "multiplicity": multiplicity}])
+        (tmp_path / "big.json").write_text(json.dumps(fact))
+        proc = subprocess.run(
+            [sys.executable, "-m", "frobdet.cli", "verify",
+             str(tmp_path / "z2.det"), str(tmp_path / "big.json"), "--json",
+             f"--{mode}"],
+            capture_output=True, text=True, timeout=20, env=env)
+        assert (proc.returncode, proc.stderr) == (1, "")
+        assert json.loads(proc.stdout) == {
+            "status": "mismatch",
+            "verification": {"equal": False, "mode": mode, "rounds": 0,
+                             "seed": 0}}
 
 
 def run_fresh(argv, stdin=None):

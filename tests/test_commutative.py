@@ -5,7 +5,7 @@ from frobdet.commutative import (chain_fastpath, factor_commutative,
                                  factor_local, global_decomposition_check,
                                  local_spectrum, splus_decompose)
 from frobdet.determinant import (factor_group_determinant,
-                                 paratrophic_determinant)
+                                 paratrophic_determinant, verify_against)
 from frobdet.errors import (IdempotentsNotCentral, NotChain, NotCommutative,
                             NotIdempotentSemigroup, NotLocalShape)
 from frobdet.factorization import equivalent
@@ -89,7 +89,8 @@ def test_wenger_spectrum_matrices():
 
 
 def test_wenger_factorization():
-    F = factor_local(wenger_monoid())
+    M = wenger_monoid()
+    F = verify_against(M, factor_local(M), "contracted")
     assert F.constant == -1
     assert strs(F) == [("x6+x7", 4), ("x6-x7", 4)]
     assert F.verification == {"equal": True, "mode": "exact", "rounds": 0,
@@ -103,7 +104,7 @@ def test_eleven_vanishes_through_singular_matrix():
     plain, signed = spec.records
     assert plain.detA == 2
     assert signed.detA.is_zero()
-    F = factor_local(M)
+    F = verify_against(M, factor_local(M), "contracted")
     assert F.status == "zero"
     assert "character 1: det A = 0" in F.notes
     # the exact contracted determinant really is the zero polynomial
@@ -119,7 +120,8 @@ def test_zmult4_local_and_chain():
 
 
 def test_zmult4_full_pipeline():
-    F = factor_commutative(zmult(4))
+    M = zmult(4)
+    F = verify_against(M, factor_commutative(M))
     assert F.constant == -2
     assert strs(F) == [("x0", 1), ("x0-x2", 2), ("x1-x3", 1)]
     assert F.verification["mode"] == "exact" and F.verification["equal"]
@@ -188,7 +190,7 @@ def test_group_with_zero_full_pipeline():
 
 def test_squared_vanishing():
     S = validate_table([[0, 0], [0, 0]])
-    F = factor_commutative(S)
+    F = verify_against(S, factor_commutative(S))
     assert F.status == "zero"
     assert F.provenance == "squared-vanishing"
     assert F.verification["equal"] and F.verification["mode"] == "exact"
@@ -201,7 +203,7 @@ def test_not_commutative():
 
 def test_three_nil_singular_vanishes_in_pipeline():
     M = build_family("three_nil", "11,11")
-    F = factor_commutative(M)
+    F = verify_against(M, factor_commutative(M))
     assert F.status == "zero"
     assert any("det A = 0" in note for note in F.notes)
     assert F.verification["equal"]
@@ -213,14 +215,16 @@ def test_not_chain():
 
 
 def test_chain_above_cap_randomized():
-    F = chain_fastpath(zmult(16), cap=9)
+    M = zmult(16)
+    F = verify_against(M, chain_fastpath(M), "contracted", cap=9)
     assert F.constant == -2048
     assert len(F.factors) == 8
     assert F.verification["mode"] == "randomized" and F.verification["equal"]
 
 
 def test_full_pipeline_above_cap_randomized():
-    F = factor_commutative(zmult(12), cap=9)
+    S = zmult(12)
+    F = verify_against(S, factor_commutative(S), cap=9)
     assert F.constant == -64
     assert F.verification["mode"] == "randomized" and F.verification["equal"]
 

@@ -6,7 +6,8 @@ from frobdet.commutative import factor_commutative, factor_local
 from frobdet.cyclotomic import CycNum
 from frobdet.determinant import (RepMatrix, backnforth_check, cayley_matrix,
                                  factor_group_determinant, frobenius_test,
-                                 paratrophic_determinant, transport_basis)
+                                 paratrophic_determinant, transport_basis,
+                                 verify_against)
 from frobdet.errors import (NoZero, NotAbelianWithoutReps, NotAGroup,
                             NotMultiplicative, RepDimensionMismatch, SingularP)
 from frobdet.factorization import equivalent
@@ -138,7 +139,8 @@ def test_transport_basis_identity_is_noop():
 
 
 def test_dedekind_z2():
-    F = factor_group_determinant(build_family("zmod_add", 2))
+    G = build_family("zmod_add", 2)
+    F = verify_against(G, factor_group_determinant(G))
     assert F.provenance == "dedekind"
     assert F.constant == 1
     strs = [f.to_str() for f, _ in F.factors]
@@ -168,7 +170,7 @@ def test_dedekind_z4_and_klein():
 
 def test_dedekind_above_cap_ratio():
     G = build_family("zmod_add", 16)
-    F = factor_group_determinant(G, cap=12)
+    F = verify_against(G, factor_group_determinant(G), cap=12)
     assert F.constant == -1
     assert F.verification["mode"] == "randomized"
     assert len(F.factors) == 16
@@ -251,31 +253,39 @@ def test_group_constant_is_leading_coefficient():
         assert F.constant == paratrophic_determinant(G).leading()[1], G.n
 
 
-def _three_nil_twist(cap):
+def _answer(S, route, mode="plain"):
+    return S, route(S), mode, None
+
+
+def _three_nil_twist():
     M = build_family("three_nil", "10,01")
     cocycle = parse_cocycle("order 4\ns1 s1 z\n", M)
-    return factor_nil_adjoined(M, cocycle, cap=cap)
+    return M, factor_nil_adjoined(M, cocycle), "twisted", cocycle
 
 
-# One small input per factorization route, called with a cap.
+# One small input per factorization route: the table, the route's
+# unchecked answer, and the determinant that answer names.
 ROUTES = {
-    "semilattice": lambda cap: factor_semilattice(build_family("gcd", 4),
-                                                  cap=cap),
-    "abelian-group": lambda cap: factor_group_determinant(
-        build_family("zmod_add", 4), cap=cap),
-    "clifford": lambda cap: factor_clifford(
-        adjoin_zero(build_family("zmod_add", 3)), cap=cap),
-    "nilpotent-contracted": lambda cap: factor_nil_adjoined(
-        build_family("cyclic_nilpotent", 3), cap=cap),
+    "semilattice": lambda: _answer(build_family("gcd", 4),
+                                   factor_semilattice),
+    "abelian-group": lambda: _answer(build_family("zmod_add", 4),
+                                     factor_group_determinant),
+    "clifford": lambda: _answer(adjoin_zero(build_family("zmod_add", 3)),
+                                factor_clifford),
+    "nilpotent-contracted": lambda: _answer(
+        build_family("cyclic_nilpotent", 3), factor_nil_adjoined,
+        "contracted"),
     "nilpotent-twisted": _three_nil_twist,
-    "local": lambda cap: factor_local(wenger_monoid(), cap=cap),
-    "commutative": lambda cap: factor_commutative(zmult(8), cap=cap),
+    "local": lambda: _answer(wenger_monoid(), factor_local, "contracted"),
+    "commutative": lambda: _answer(zmult(8), factor_commutative),
 }
 
 
 @pytest.mark.parametrize("route", ROUTES)
 def test_each_route_checks_exactly_and_at_random_points(route):
-    randomized, exact = ROUTES[route](0), ROUTES[route](DEFAULT_CAP)
+    S, F, mode, cocycle = ROUTES[route]()
+    randomized = verify_against(S, F, mode, cocycle, cap=0)
+    exact = verify_against(S, F, mode, cocycle, cap=DEFAULT_CAP)
     assert randomized.verification["mode"] == "randomized"
     assert exact.verification["mode"] == "exact"
     assert randomized.verification["equal"] and exact.verification["equal"]

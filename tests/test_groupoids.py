@@ -1,6 +1,6 @@
 import pytest
 
-from frobdet.determinant import paratrophic_determinant
+from frobdet.determinant import paratrophic_determinant, verify_against
 from frobdet.errors import NotClifford, NotInverse
 from frobdet.groupoids import (connected_components, factor_clifford,
                                groupoid_determinant, groupoid_of,
@@ -95,7 +95,7 @@ def test_groupoid_determinant_blocks():
 
 def test_factor_clifford_z2_with_zero():
     S = z2_with_zero()
-    F = factor_clifford(S)
+    F = verify_against(S, factor_clifford(S))
     assert F.status == "factored"
     assert F.provenance == "clifford-mobius"
     assert F.verification["mode"] == "exact" and F.verification["equal"]

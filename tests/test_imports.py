@@ -77,3 +77,27 @@ def test_finds_an_unused_private_function():
 def test_no_unused_private_functions():
     sources = {p.name: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}
     assert unused_private_functions(sources) == []
+
+
+def calls_of(source, name):
+    """Line numbers of the calls to `name` in the source, as a plain name
+    or as an attribute."""
+    return sorted(node.lineno for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.Call)
+                  and (getattr(node.func, "id", None) == name
+                       or getattr(node.func, "attr", None) == name))
+
+
+def test_finds_calls_by_name():
+    source = "from m import f\nf(1)\nm.f(2)\ng(f)\n"
+    assert calls_of(source, "f") == [2, 3]
+
+
+def test_only_the_cli_verifies_a_factorization():
+    # route functions return unchecked answers; each factor request
+    # checks its printed answer once, in cli.py
+    sources = {p.name: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}
+    callers = {name for name, src in sources.items()
+               if calls_of(src, "verify_against")}
+    assert callers == {"cli.py"}
+    assert "def verify_against(" in sources["determinant.py"]

@@ -3,7 +3,8 @@ from fractions import Fraction
 import pytest
 
 from frobdet.cyclotomic import CycNum
-from frobdet.determinant import backnforth_check, paratrophic_determinant
+from frobdet.determinant import (backnforth_check, paratrophic_determinant,
+                                 verify_against)
 from frobdet.errors import (CocycleDomainMismatch, CocycleInvalid, FormatError,
                             NotNilpotentAdjoined, NoUniqueAnnihilator)
 from frobdet.factorization import lift_zero
@@ -45,7 +46,7 @@ def test_cyclic_nilpotent_factored():
     signs = {2: -1, 3: -1, 4: 1, 5: 1}
     for k, sign in signs.items():
         M = build_family("cyclic_nilpotent", k)
-        F = factor_nil_adjoined(M)
+        F = verify_against(M, factor_nil_adjoined(M), "contracted")
         assert F.status == "factored"
         assert F.constant == sign, k
         assert len(F.factors) == 1
@@ -65,7 +66,7 @@ def test_degenerate_factorization():
 def test_three_nil_factored():
     # B = [[1,1,0],[1,0,1],[0,1,1]] has determinant -2
     M = build_family("three_nil", "110,101,011")
-    F = factor_nil_adjoined(M)
+    F = verify_against(M, factor_nil_adjoined(M), "contracted")
     zp = M.names.index("zp")
     assert F.constant == 2  # -det B
     assert F.factors == ((Poly.variable(zp), M.n - 1),)

@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from frobdet.determinant import verify_against
 from frobdet.errors import ModeHypothesisFailed, NotAPartialOrder, NotSemilattice
 from frobdet.groupoids import is_inverse
 from frobdet.posets import (FinitePoset, factor_semilattice, mobius,
@@ -96,7 +97,7 @@ def test_splus_map_chain():
 
 def test_factor_semilattice_chain():
     S = build_family("chain_semilattice", 3)
-    F = factor_semilattice(S)
+    F = verify_against(S, factor_semilattice(S))
     assert F.status == "factored"
     assert F.constant == 1
     # factors are normalized so the least variable has coefficient 1,
@@ -138,9 +139,9 @@ def test_factor_semilattice_large_randomized():
     # randomized path, then the exact path at default cap for agreement
     two = build_family("chain_semilattice", 2)
     cube = direct_product(direct_product(two, two), two)
-    F = factor_semilattice(cube, cap=4)
+    F = verify_against(cube, factor_semilattice(cube), cap=4)
     assert F.verification["mode"] == "randomized" and F.verification["equal"]
-    F2 = factor_semilattice(cube)
+    F2 = verify_against(cube, factor_semilattice(cube))
     assert F2.verification["mode"] == "exact" and F2.verification["equal"]
 
 
