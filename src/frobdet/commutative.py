@@ -23,7 +23,7 @@ from .errors import (IdempotentsNotCentral, NotChain, NotCommutative,
 from .factorization import Factorization
 from .linalg import cyc_det
 from .nilpotent import Cocycle, analyze_nilpotent, annihilator_matrix
-from .poly import DEFAULT_CAP, LinForm, Poly, poly_identity_test
+from .poly import DEFAULT_CAP, LinForm, Poly
 from .posets import mobius_forms, natural_order, splus_map
 from .semigroups import analyze, group_of_units, validate_table
 
@@ -106,8 +106,7 @@ def global_decomposition_check(S, cap=DEFAULT_CAP):
         prod = prod * mapped
         components.append({"idempotent": e, "class_size": local.n - 1,
                            "vanishes": th.is_zero()})
-    rec = poly_identity_test(theta, prod, mode="exact")
-    return {"equal": rec["equal"], "components": components}
+    return {"equal": theta == prod, "components": components}
 
 
 def _local_shape(M):

@@ -6,7 +6,6 @@ the variable x_{st}. Contracted matrices keep the ambient ids and drop the
 zero row and column, writing 0 where a product hits the zero.
 """
 
-import random
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
@@ -15,13 +14,11 @@ from .cyclotomic import CycNum
 from .errors import (CocycleDomainMismatch, NoZero, NotAbelianWithoutReps,
                      NotAGroup, NotMultiplicative, RepDimensionMismatch,
                      SingularP, VerificationFailed)
-from .factorization import (Factorization, _table_det_at, checked,
+from .factorization import (Factorization, checked, random_points,
                             random_table_check)
 from .linalg import cyc_det, cyc_matrix_inverse, int_det
 from .poly import DEFAULT_CAP, LinForm, Poly, det_poly_matrix
 from .semigroups import analyze
-
-RANDOM_BOUND = 10 ** 6
 
 
 @dataclass(frozen=True)
@@ -152,11 +149,10 @@ def frobenius_test(S, seed=0, rounds=5, cap=DEFAULT_CAP):
                 "not_frobenius",
                 reason=f"{S.name_of(s)} fixes {l} elements on the left "
                        f"and {r} on the right")
-    rng = random.Random(seed)
-    for i in range(rounds):
-        point = {s: rng.randint(-RANDOM_BOUND, RANDOM_BOUND)
-                 for s in range(S.n)}
-        d = _table_det_at(S, point)
+    t = S.table
+    for i, point in enumerate(random_points(range(S.n), seed, rounds)):
+        d = int_det([[point[t[a][b]] for b in range(S.n)]
+                     for a in range(S.n)])
         if d != 0:
             return FrobeniusResult(
                 "frobenius",

@@ -10,10 +10,12 @@ the exact constant. Nothing here is ever a bare sign guess.
 import random
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from math import lcm
 
 from .cyclotomic import CycNum
 from .errors import VerificationFailed
-from .linalg import cyc_det, int_det
+from .linalg import det_mod
+from .modular import prime_for, root_of_unity
 from .poly import Poly, poly_identity_test
 
 RANDOM_BOUND = 10 ** 6
@@ -100,65 +102,112 @@ def equivalent(a, b):
                for (f, m), (g, k) in zip(a.factors, b.factors))
 
 
-def _eval_factorization(F, point):
-    val = F.constant
-    for f, m in F.factors:
-        v = f.evaluate(point)
-        if isinstance(v, Fraction):
-            v = CycNum.from_rational(v)
-        val = val * v ** m
-    return val
+def random_points(variables, seed, rounds):
+    """The points of a randomized check: `rounds` maps from the variables,
+    in the order given, to integers in [-RANDOM_BOUND, RANDOM_BOUND], all
+    drawn from one random.Random(seed)."""
+    rng = random.Random(seed)
+    for _ in range(rounds):
+        yield {v: rng.randint(-RANDOM_BOUND, RANDOM_BOUND) for v in variables}
+
+
+class _Reduction:
+    """Reduction of cyclotomic values mod a prime p = 1 (mod N) above 2^61
+    chosen from the seed, with zeta_N sent to a primitive N-th root of
+    unity mod p. N is the lcm of the orders of the given values and p
+    divides none of their denominators, so the reduction is a ring
+    homomorphism on everything built from them: values equal in Q(zeta_N)
+    are equal mod p."""
+
+    def __init__(self, values, seed):
+        self.order = lcm(1, *(c.order for c in values))
+        avoid = lcm(1, *(q.denominator for c in values for q in c.coords))
+        self.p = prime_for(self.order, seed, avoid)
+        self.root = root_of_unity(self.order, self.p)
+
+    def image(self, c):
+        p, step = self.p, self.order // c.order
+        total = 0
+        for j, q in enumerate(c.coords):
+            if q:
+                total += (q.numerator * pow(q.denominator, -1, p)
+                          * pow(self.root, j * step, p))
+        return total % p
+
+    def poly(self, f):
+        """A function from an integer point to the value of f there mod p."""
+        p = self.p
+        terms = [(m, self.image(c)) for m, c in f.terms.items()]
+
+        def value(point):
+            total = 0
+            for m, c in terms:
+                for v, e in m:
+                    c = c * pow(point[v], e, p) % p
+                total += c
+            return total % p
+        return value
+
+    def factorization(self, F):
+        """A function from an integer point to the value of F there mod p:
+        each factor is evaluated once and raised to its multiplicity."""
+        p = self.p
+        constant = self.image(F.constant)
+        factors = [(self.poly(f), m) for f, m in F.factors]
+
+        def value(point):
+            v = constant
+            for f, m in factors:
+                v = v * pow(f(point), m, p) % p
+            return v
+        return value
+
+
+def _values(F):
+    """The constant and every coefficient of F."""
+    return [F.constant] + [c for f, _ in F.factors for c in f.terms.values()]
+
+
+def _randomized_record(F, other, variables, reduction, seed, rounds):
+    """Compare F with `other`, a function from an integer point to a value
+    mod reduction.p, at the seeded points."""
+    value = reduction.factorization(F)
+    for i, point in enumerate(random_points(variables, seed, rounds)):
+        if value(point) != other(point):
+            return {"equal": False, "mode": "randomized", "rounds": i + 1,
+                    "seed": seed, "witness": point}
+    return {"equal": True, "mode": "randomized", "rounds": rounds,
+            "seed": seed}
 
 
 def verify_factorization(reference, F, mode="exact", seed=0, rounds=5):
     """Check that F multiplies out to the reference polynomial.
 
     mode "exact" expands F and compares term by term; "randomized" compares
-    values at integer points without expanding. In both modes a nonzero F
-    whose degree differs from the reference's is rejected first, without
-    expanding or evaluating. Returns the verification record (also
-    attached downstream); raises nothing on mismatch, the caller inspects
-    the 'equal' flag.
+    values at the seeded integer points modulo a prime, without expanding
+    (see _Reduction). In both modes a nonzero F whose degree differs from
+    the reference's is rejected first, without expanding or evaluating.
+    Returns the verification record (also attached downstream); raises
+    nothing on mismatch, the caller inspects the 'equal' flag.
     """
     if F.status == "zero":
         if mode == "exact":
             return {"equal": reference.is_zero(), "mode": "exact",
                     "rounds": 1, "seed": seed}
-        rng = random.Random(seed)
-        for i in range(rounds):
-            point = {v: rng.randint(-RANDOM_BOUND, RANDOM_BOUND)
-                     for v in sorted(reference.variables())}
-            rv = reference.evaluate(point)
-            nz = rv != 0 if isinstance(rv, Fraction) else not rv.is_zero()
-            if nz:
-                return {"equal": False, "mode": "randomized", "rounds": i + 1,
-                        "seed": seed, "witness": point}
-        return {"equal": True, "mode": "randomized", "rounds": rounds,
-                "seed": seed}
+        # the value is 0 whatever constant and factors a file gives it
+        F = Factorization.zero(F.provenance)
     # A nonzero product has the summed degree of its factors, so a degree
     # mismatch settles the comparison without expanding or evaluating.
     nonzero = not F.constant.is_zero() and all(f for f, _ in F.factors)
     if nonzero and F.degree() != reference.total_degree():
         return {"equal": False, "mode": mode, "rounds": 0, "seed": seed}
     if mode == "exact":
-        return poly_identity_test(reference, F.expand(), mode="exact",
-                                  seed=seed, rounds=rounds)
-    rng = random.Random(seed)
-    vs = set(reference.variables())
-    for f, _ in F.factors:
-        vs |= set(f.variables())
-    vs = sorted(vs)
-    for i in range(rounds):
-        point = {v: rng.randint(-RANDOM_BOUND, RANDOM_BOUND) for v in vs}
-        rv = reference.evaluate(point)
-        if isinstance(rv, Fraction):
-            rv = CycNum.from_rational(rv)
-        fv = _eval_factorization(F, point)
-        if rv != fv:
-            return {"equal": False, "mode": "randomized", "rounds": i + 1,
-                    "seed": seed, "witness": point}
-    return {"equal": True, "mode": "randomized", "rounds": rounds,
-            "seed": seed}
+        return poly_identity_test(reference, F.expand(), seed=seed)
+    variables = sorted(reference.variables().union(
+        *(f.variables() for f, _ in F.factors)))
+    reduction = _Reduction(_values(F) + list(reference.terms.values()), seed)
+    return _randomized_record(F, reduction.poly(reference), variables,
+                              reduction, seed, rounds)
 
 
 def lift_zero(F, z):
@@ -183,38 +232,27 @@ def lift_zero(F, z):
     return lifted.with_verification(F.verification)
 
 
-def _table_det_at(S, point, mode="plain", cocycle=None):
-    """Exact determinant of the plain, contracted or twisted multiplication
-    matrix of S with each variable x_s set to point[s]: an int, or a CycNum
-    for the twisted matrix."""
-    t, z = S.table, S.zero
-    if mode == "plain":
-        return int_det([[point[t[a][b]] for b in range(S.n)]
-                        for a in range(S.n)])
-    basis = [s for s in range(S.n) if s != z]
-    if mode == "contracted":
-        return int_det([[point[t[a][b]] if t[a][b] != z else 0
-                         for b in basis] for a in basis])
-    zero = CycNum.zero(cocycle.order)
-    return cyc_det([[CycNum.from_rational(point[t[a][b]], cocycle.order)
-                     * cocycle.value(a, b) if t[a][b] != z else zero
-                     for b in basis] for a in basis])
-
-
 def random_table_check(S, F, mode="plain", cocycle=None, seed=0, rounds=5):
     """Compare F against the determinant of the plain, contracted or
-    twisted multiplication matrix of S at random integer points, without
-    any symbolic expansion."""
-    basis = [s for s in range(S.n) if mode == "plain" or s != S.zero]
-    rng = random.Random(seed)
-    for i in range(rounds):
-        point = {s: rng.randint(-RANDOM_BOUND, RANDOM_BOUND) for s in basis}
-        if _eval_factorization(F, point) != _table_det_at(S, point, mode,
-                                                          cocycle):
-            return {"equal": False, "mode": "randomized", "rounds": i + 1,
-                    "seed": seed, "witness": point}
-    return {"equal": True, "mode": "randomized", "rounds": rounds,
-            "seed": seed}
+    twisted multiplication matrix of S at the seeded integer points,
+    modulo a prime (see _Reduction), without any symbolic expansion."""
+    t, z = S.table, S.zero
+    basis = [s for s in range(S.n) if mode == "plain" or s != z]
+    twist = {(a, b): cocycle.value(a, b) for a in basis for b in basis
+             if t[a][b] != z} if mode == "twisted" else {}
+    reduction = _Reduction(_values(F) + list(twist.values()), seed)
+
+    def weight(a, b):
+        if (a, b) in twist:
+            return reduction.image(twist[a, b])
+        return 1 if mode == "plain" or t[a][b] != z else 0
+
+    cells = [[(t[a][b], weight(a, b)) for b in basis] for a in basis]
+
+    def det_at(point):
+        return det_mod([[point[s] * w if w else 0 for s, w in row]
+                        for row in cells], reduction.p)
+    return _randomized_record(F, det_at, basis, reduction, seed, rounds)
 
 
 def checked(reference, F, mode="exact", seed=0, rounds=5):

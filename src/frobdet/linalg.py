@@ -1,4 +1,5 @@
-"""Exact linear algebra over the integers and over cyclotomic fields."""
+"""Exact linear algebra over the integers, over cyclotomic fields and
+modulo a prime."""
 
 from math import lcm
 
@@ -30,6 +31,28 @@ def int_det(matrix):
             m[i][k] = 0
         prev = pivot
     return sign * m[n - 1][n - 1]
+
+
+def det_mod(matrix, p):
+    """Determinant mod a prime p of a matrix of integers, by Gaussian
+    elimination."""
+    m = [[v % p for v in row] for row in matrix]
+    n, det = len(m), 1
+    for k in range(n):
+        r = next((r for r in range(k, n) if m[r][k]), None)
+        if r is None:
+            return 0
+        if r != k:
+            m[k], m[r] = m[r], m[k]
+            det = -det
+        pivot = m[k]
+        det = det * pivot[k] % p
+        inv = pow(pivot[k], -1, p)
+        for i in range(k + 1, n):
+            f = m[i][k] * inv % p
+            if f:
+                m[i] = [(a - f * b) % p for a, b in zip(m[i], pivot)]
+    return det % p
 
 
 def _common_order(matrix):

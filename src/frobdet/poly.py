@@ -364,7 +364,9 @@ def det_poly_matrix(matrix, cap=DEFAULT_CAP):
     those columns. Row k extends each sum by every unused column j with a
     nonzero entry, negated when an odd number of used columns lie right of
     j. Only products and sums are formed, so the result is exact for any
-    entries; the cost grows as n*2^n."""
+    entries; the cost grows as n*2^n. Before that, each row with at most
+    one nonzero entry is expanded on its own: it contributes that entry,
+    signed (-1)^(i+j), times its minor, or makes the determinant 0."""
     n = len(matrix)
     if n == 0:
         return Poly.const(1)
@@ -377,7 +379,20 @@ def det_poly_matrix(matrix, cap=DEFAULT_CAP):
         for p in row:
             order = lcm(order, p.order)
     matrix = [[p.at_order(order) for p in row] for row in matrix]
-    partial = {0: Poly.const(1, order)}
+    peeled = Poly.const(1, order)
+    while True:
+        for i, row in enumerate(matrix):
+            nonzero = [j for j, p in enumerate(row) if p]
+            if len(nonzero) <= 1:
+                break
+        else:
+            break
+        if not nonzero:
+            return Poly.zero(order)
+        j = nonzero[0]
+        peeled = peeled * (-row[j] if (i + j) & 1 else row[j])
+        matrix = [r[:j] + r[j + 1:] for k, r in enumerate(matrix) if k != i]
+    partial = {0: peeled}
     for row in matrix:
         entries = [(1 << j, p, -p) for j, p in enumerate(row) if p]
         nxt = {}
@@ -391,28 +406,13 @@ def det_poly_matrix(matrix, cap=DEFAULT_CAP):
         partial = {key: p for key, p in nxt.items() if not p.is_zero()}
         if not partial:
             return Poly.zero(order)
-    return partial[(1 << n) - 1]
+    return partial[(1 << len(matrix)) - 1]
 
 
-def poly_identity_test(p, q, mode="exact", seed=0, rounds=5):
-    """Decide p == q. Exact mode compares canonical forms. Randomized mode
-    evaluates at integer points in [-10^6, 10^6] and reports the
-    Schwartz-Zippel failure bound; a nonzero evaluation is a definitive
-    witness of inequality."""
-    if mode == "exact":
-        return {"equal": p == q, "mode": "exact", "rounds": 0, "seed": seed}
-    import random as _random
-    rng = _random.Random(seed)
-    vars_all = sorted(p.variables() | q.variables())
-    diff_deg = max(p.total_degree(), q.total_degree())
-    for r in range(rounds):
-        point = {v: rng.randint(-10 ** 6, 10 ** 6) for v in vars_all}
-        if not (p.evaluate(point) == q.evaluate(point)):
-            return {"equal": False, "mode": "randomized", "rounds": r + 1,
-                    "seed": seed, "witness": point}
-    bound = Fraction(diff_deg, 2 * 10 ** 6) ** rounds if diff_deg else Fraction(0)
-    return {"equal": True, "mode": "randomized", "rounds": rounds,
-            "seed": seed, "error_bound": str(bound)}
+def poly_identity_test(p, q, seed=0):
+    """Decide p == q by comparing canonical forms; the exact verification
+    record."""
+    return {"equal": p == q, "mode": "exact", "rounds": 0, "seed": seed}
 
 
 def parse_poly(text, order=1):

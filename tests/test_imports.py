@@ -101,3 +101,15 @@ def test_only_the_cli_verifies_a_factorization():
                if calls_of(src, "verify_against")}
     assert callers == {"cli.py"}
     assert "def verify_against(" in sources["determinant.py"]
+
+
+def test_one_randomized_path():
+    # every random point comes from factorization.random_points, and the
+    # randomized checks there compare modulo a prime, never exactly
+    sources = {p.name: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}
+    callers = {name for name, src in sources.items()
+               if calls_of(src, "randint")}
+    assert callers == {"factorization.py"}
+    assert "def random_points(" in sources["factorization.py"]
+    for name in ("int_det", "cyc_det"):
+        assert calls_of(sources["factorization.py"], name) == []

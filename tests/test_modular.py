@@ -1,0 +1,137 @@
+import random
+from dataclasses import replace
+from fractions import Fraction
+
+import pytest
+
+from frobdet.commutative import factor_local
+from frobdet.determinant import (factor_group_determinant,
+                                 paratrophic_determinant)
+from frobdet.factorization import (RANDOM_BOUND, Factorization,
+                                   random_points, random_table_check,
+                                   verify_factorization)
+from frobdet.modular import MIN_PRIME, is_prime, prime_for, root_of_unity
+from frobdet.nilpotent import factor_nil_adjoined, parse_cocycle
+from frobdet.poly import Poly
+from frobdet.semigroups import build_family
+
+from corpus import wenger_monoid
+
+
+def test_miller_rabin_agrees_with_a_sieve():
+    n = 10 ** 5
+    sieve = [False, False] + [True] * (n - 1)
+    for i in range(2, int(n ** 0.5) + 1):
+        if sieve[i]:
+            sieve[i * i::i] = [False] * len(range(i * i, n + 1, i))
+    assert [k for k in range(n + 1) if is_prime(k)] == \
+        [k for k in range(n + 1) if sieve[k]]
+    # strong pseudoprimes to the bases 2, 3, 5, 7 and to every prime
+    # base up to 23
+    assert not is_prime(3215031751)
+    assert not is_prime(3825123056546413051)
+    assert is_prime(2 ** 61 - 1) and not is_prime(2 ** 61 + 1)
+
+
+@pytest.mark.parametrize("order", [1, 2, 27, 32, 10000])
+def test_prime_and_root_of_unity(order):
+    for seed in (0, 1, -7, 2 ** 70):
+        p = prime_for(order, seed)
+        assert is_prime(p) and p > MIN_PRIME and (p - 1) % order == 0
+        w = root_of_unity(order, p)
+        assert pow(w, order, p) == 1
+        assert all(pow(w, d, p) != 1 for d in range(1, order)
+                   if order % d == 0)
+    # the next prime that does not divide `avoid`
+    p = prime_for(order, 5)
+    q = prime_for(order, 5, avoid=3 * p)
+    assert q > p and (q - 1) % order == 0 and is_prime(q)
+    assert not any(is_prime(c) for c in range(p + order, q, order))
+
+
+def test_the_seed_chooses_the_prime():
+    primes = {prime_for(27, seed) for seed in range(5)}
+    assert len(primes) == 5
+    assert prime_for(27, 3) == prime_for(27, 3)
+
+
+def exact_record(S, F, mode, cocycle, seed, rounds=5):
+    """random_table_check's record computed in exact arithmetic: the
+    symbolic determinant and every factor evaluated in Q(zeta_N)."""
+    theta = paratrophic_determinant(S, mode, cocycle)
+    basis = [s for s in range(S.n) if mode == "plain" or s != S.zero]
+    rng = random.Random(seed)
+    for i in range(rounds):
+        point = {s: rng.randint(-RANDOM_BOUND, RANDOM_BOUND) for s in basis}
+        value = F.constant
+        for f, m in F.factors:
+            value = value * f.evaluate(point) ** m
+        if value != theta.evaluate(point):
+            return {"equal": False, "mode": "randomized", "rounds": i + 1,
+                    "seed": seed, "witness": point}
+    return {"equal": True, "mode": "randomized", "rounds": rounds,
+            "seed": seed}
+
+
+def answer(mode):
+    """A table, a right answer and the determinant it names, per mode."""
+    if mode == "plain":
+        G = build_family("zmod_add", 5)
+        return G, factor_group_determinant(G), None
+    if mode == "contracted":
+        M = wenger_monoid()
+        return M, factor_local(M), None
+    M = build_family("three_nil", "10,01")
+    cocycle = parse_cocycle("order 4\ns1 s1 z\n", M)
+    return M, factor_nil_adjoined(M, cocycle), cocycle
+
+
+def corruptions(F, basis):
+    """Five wrong answers made from a right one."""
+    (f, m), rest = F.factors[0], F.factors[1:]
+    v = min(f.variables())
+    w = next(s for s in basis if s != v)
+    swapped = f.substitute({v: Poly.variable(w, f.order)})
+    yield "negated constant", replace(F, constant=-F.constant)
+    yield "doubled constant", replace(F, constant=F.constant * 2)
+    yield "dropped factor", replace(F, factors=rest)
+    yield "multiplicity + 1", replace(F, factors=((f, m + 1),) + rest)
+    yield "variable substituted", replace(F, factors=((swapped, m),) + rest)
+
+
+@pytest.mark.parametrize("mode", ["plain", "contracted", "twisted"])
+def test_corrupted_answers_fail_the_modular_check(mode):
+    S, F, cocycle = answer(mode)
+    basis = [s for s in range(S.n) if mode == "plain" or s != S.zero]
+    for seed in (0, 11):
+        right = random_table_check(S, F, mode, cocycle, seed=seed)
+        assert right == exact_record(S, F, mode, cocycle, seed)
+        assert right["equal"] and right["rounds"] == 5
+        for name, wrong in corruptions(F, basis):
+            record = random_table_check(S, wrong, mode, cocycle, seed=seed)
+            assert not record["equal"], name
+            assert record == exact_record(S, wrong, mode, cocycle, seed), name
+
+
+def test_randomized_verify_records():
+    x0, x1 = Poly.variable(0), Poly.variable(1)
+    F = Factorization.of(1, [(x0 + x1, 2)], "test")
+    square = x0 ** 2 + 2 * x0 * x1 + x1 ** 2
+    assert verify_factorization(square, F, "randomized", rounds=4) == \
+        {"equal": True, "mode": "randomized", "rounds": 4, "seed": 0}
+    r = verify_factorization(square + 1, F, "randomized", seed=0)
+    assert r == {"equal": False, "mode": "randomized", "rounds": 1,
+                 "seed": 0, "witness": next(random_points([0, 1], 0, 1))}
+    assert verify_factorization(square + 1, F, "randomized", seed=0) == r
+
+
+def test_a_denominator_divisible_by_the_first_prime():
+    # the reduction cannot invert 1/p mod p, so it moves to the next prime
+    p = prime_for(1, 0)
+    x0, x1 = Poly.variable(0), Poly.variable(1)
+    reference = (x0 + x1).scale(Fraction(1, p))
+    F = Factorization.of(Fraction(1, p), [(x0 + x1, 1)], "test")
+    assert verify_factorization(reference, F, "randomized") == \
+        {"equal": True, "mode": "randomized", "rounds": 5, "seed": 0}
+    wrong = Factorization.of(Fraction(2, p), [(x0 + x1, 1)], "test")
+    assert not verify_factorization(reference, wrong, "randomized")["equal"]

@@ -1,5 +1,6 @@
 import itertools
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -8,7 +9,7 @@ from frobdet.cyclotomic import CycNum
 from frobdet.determinant import cayley_matrix
 from frobdet.errors import (DimensionCap, MissingVariable, NotUnitriangular,
                             ParseError, SingularP)
-from frobdet.linalg import (cyc_det, cyc_matrix_inverse, int_det,
+from frobdet.linalg import (cyc_det, cyc_matrix_inverse, det_mod, int_det,
                             unitriangular_inverse)
 from frobdet.poly import (Poly, det_poly_matrix, mono_cmp, parse_poly,
                           poly_identity_test)
@@ -169,6 +170,40 @@ def test_det_sign_and_sparsity_dims_7_to_10():
         assert theta.evaluate(point).as_fraction() == int_det(ints)
 
 
+def test_sparse_rows_are_expanded_first():
+    # the contracted matrix of cyclic_nilpotent 12 is Hankel-shaped: each
+    # peeled row leaves a row with one nonzero entry
+    S = build_family("cyclic_nilpotent", 12)
+    m = [list(r) for r in cayley_matrix(S, "contracted").entries]
+    start = time.perf_counter()
+    theta = det_poly_matrix(m)
+    assert time.perf_counter() - start < 1.0
+    assert theta == x(11) ** 12
+
+
+def test_det_of_sparse_and_permuted_triangular_matrices():
+    rng = random.Random(23)
+
+    def entry():
+        return x(rng.randrange(4)) * rng.randint(-3, 3) + rng.randint(-2, 2)
+
+    for trial in range(60):
+        n = rng.randint(1, 7)
+        if trial % 2:
+            tri = [[entry() if j >= i else Poly.zero() for j in range(n)]
+                   for i in range(n)]
+            rows, cols = rng.sample(range(n), n), rng.sample(range(n), n)
+            m = [[tri[r][c] for c in cols] for r in rows]
+        else:
+            m = [[entry() if rng.random() < 0.3 else Poly.zero()
+                  for _ in range(n)] for _ in range(n)]
+        theta = det_poly_matrix(m)
+        for _ in range(3):
+            point = {v: rng.randint(-9, 9) for v in range(4)}
+            ints = [[p.evaluate(point).as_fraction() for p in r] for r in m]
+            assert theta.evaluate(point).as_fraction() == int_det(ints)
+
+
 def test_det_numeric_cross_check():
     # integer matrices: symbolic engine agrees with Bareiss over Z
     rng = random.Random(9)
@@ -190,17 +225,12 @@ def test_det_dimension_cap():
 
 
 def test_identity_test_modes():
+    # the randomized comparison is verify_factorization's (test_modular.py)
     p = (x(0) + x(1)) ** 2
     q = x(0) ** 2 + 2 * x(0) * x(1) + x(1) ** 2
-    r = poly_identity_test(p, q, "exact")
-    assert r["equal"] and r["mode"] == "exact"
-    r = poly_identity_test(p, q, "randomized", seed=0, rounds=4)
-    assert r["equal"] and r["rounds"] == 4 and "error_bound" in r
-    r = poly_identity_test(p, q + 1, "randomized", seed=0)
-    assert not r["equal"] and "witness" in r
-    # determinism
-    r2 = poly_identity_test(p, q + 1, "randomized", seed=0)
-    assert r2["witness"] == r["witness"]
+    r = poly_identity_test(p, q)
+    assert r == {"equal": True, "mode": "exact", "rounds": 0, "seed": 0}
+    assert not poly_identity_test(p, q + 1, seed=3)["equal"]
 
 
 def test_int_det():
@@ -218,6 +248,9 @@ def test_int_det():
         n = rng.choice([2, 3, 4])
         m = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(n)]
         assert int_det(m) == cof(m)
+        assert det_mod(m, 7) == cof(m) % 7
+    assert det_mod([[0, 1], [1, 0]], 2 ** 61 - 1) == 2 ** 61 - 2
+    assert det_mod([], 7) == 1 and det_mod([[7, 1], [14, 3]], 7) == 0
 
 
 def test_cyc_det_and_inverse():
