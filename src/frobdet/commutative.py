@@ -244,7 +244,7 @@ def local_spectrum(M):
                                            ann, None, None, None))
             continue
         mat, _, zp = annihilator_matrix(quotient, cocycle)
-        det = cyc_det([row[:] for row in mat])
+        det = cyc_det(mat)
         records.append(CharacterRecord(chi, J, ideal, quotient, cocycle,
                                        ann, J[zp], tuple(map(tuple, mat)),
                                        det))

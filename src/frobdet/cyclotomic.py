@@ -87,6 +87,14 @@ def _power_basis(order):
     return tuple(rows)
 
 
+@lru_cache(maxsize=None)
+def power_basis_bound(order):
+    """R_order: the largest |coordinate| of z^k mod Phi_order over
+    k < order. A polynomial in z with coefficient 1-norm L reduces to
+    coordinates of size at most R_order * L, since z^order = 1."""
+    return max(abs(c) for row in _power_basis(order) for c in row)
+
+
 def _reduce(coeffs, order):
     """Reduce a coefficient list of length <= 2d-1 mod Phi_order."""
     d = _phi(order)

@@ -194,10 +194,10 @@ def transport_basis(theta_prime, P, row_vars=None, col_vars=None):
     for row in mat:
         if len(row) != n:
             raise SingularP("change of basis matrix is not square")
-    detP = cyc_det([row[:] for row in mat])
+    detP = cyc_det(mat)
     if detP.is_zero():
         raise SingularP("change of basis matrix is singular")
-    inv = cyc_matrix_inverse([row[:] for row in mat])
+    inv = cyc_matrix_inverse(mat)
     if row_vars is None:
         row_vars = tuple(range(n))
     if col_vars is None:

@@ -1,10 +1,13 @@
 """Exact linear algebra over the integers, over cyclotomic fields and
 modulo a prime."""
 
-from math import lcm
+from fractions import Fraction
+from functools import lru_cache
+from math import gcd, lcm
 
-from .cyclotomic import CycNum
+from .cyclotomic import CycNum, cyclotomic_polynomial, power_basis_bound
 from .errors import NotUnitriangular, SingularP
+from .modular import fixed_prime
 
 
 def int_det(matrix):
@@ -63,37 +66,72 @@ def _common_order(matrix):
     return order
 
 
+@lru_cache(maxsize=None)
+def _split_roots(order, i):
+    """For the i-th fixed prime p = 1 (mod order): p, the powers
+    r^0, ..., r^(d-1) mod p of each of the d roots r of Phi_order mod p
+    (the primitive order-th roots of unity), and the rows of the inverse
+    of that evaluation matrix, which take the values at the roots back to
+    power-basis coordinates mod p (Lagrange interpolation)."""
+    p, w = fixed_prime(order, i)
+    phi = cyclotomic_polynomial(order)
+    d = len(phi) - 1
+    roots = [pow(w, k, p) for k in range(order) if gcd(k, order) == 1]
+    powers, weights = [], []
+    for r in roots:
+        powers.append(tuple(pow(r, t, p) for t in range(d)))
+        # Phi / (x - r) by synthetic division; its value at r is Phi'(r)
+        q = [1] * d
+        for j in range(d - 1, 0, -1):
+            q[j - 1] = (phi[j] + r * q[j]) % p
+        inv = pow(sum(c * x for c, x in zip(q, powers[-1])), -1, p)
+        weights.append([c * inv % p for c in q])
+    return p, tuple(powers), tuple(zip(*weights))
+
+
 def cyc_det(matrix):
-    """Fraction-free Bareiss determinant of a CycNum matrix."""
+    """Exact determinant of a square CycNum matrix, in Q(zeta_N) for the
+    lcm N of the entries' orders; does not modify its argument.
+
+    Each row is scaled by the lcm of its coordinate denominators to
+    integer power-basis coordinates. The scaled determinant is taken
+    modulo fixed primes p = 1 (mod N) at every primitive N-th root of
+    unity mod p and interpolated to its coordinates mod p, and CRT
+    combines the images until their product exceeds twice the bound
+    R_N * (product of the rows' coordinate 1-norms) on those coordinates
+    (see cyclotomic.power_basis_bound)."""
     n = len(matrix)
     if n == 0:
         return CycNum.one()
+    if n == 1:
+        return matrix[0][0]
     order = _common_order(matrix)
-    m = [[v.embed(order) for v in row] for row in matrix]
-    sign = 1
-    prev = CycNum.one(order)
-    for k in range(n - 1):
-        if m[k][k].is_zero():
-            for r in range(k + 1, n):
-                if not m[r][k].is_zero():
-                    m[k], m[r] = m[r], m[k]
-                    sign = -sign
-                    break
-            else:
-                return CycNum.zero(order)
-        pivot = m[k][k]
-        inv_prev = prev.inverse()
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (pivot * m[i][j] - m[i][k] * m[k][j]) * inv_prev
-            m[i][k] = CycNum.zero(order)
-        prev = pivot
-    out = m[n - 1][n - 1]
-    return -out if sign < 0 else out
+    rows, scale, bound = [], 1, power_basis_bound(order)
+    for row in matrix:
+        coords = [v.embed(order).coords for v in row]
+        s = lcm(*(q.denominator for c in coords for q in c))
+        rows.append([[q.numerator * (s // q.denominator) for q in c]
+                     for c in coords])
+        scale *= s
+        bound *= sum(abs(a) for c in rows[-1] for a in c)
+    coords, modulus, i = [0] * len(rows[0][0]), 1, 0
+    while modulus <= 2 * bound:
+        p, powers, inverse = _split_roots(order, i)
+        values = [det_mod([[sum(a * x for a, x in zip(c, pw)) for c in row]
+                           for row in rows], p) for pw in powers]
+        step = pow(modulus, -1, p)
+        for t, col in enumerate(inverse):
+            v = sum(x * y for x, y in zip(col, values))
+            coords[t] += modulus * ((v - coords[t]) * step % p)
+        modulus *= p
+        i += 1
+    return CycNum(order, [Fraction(c - modulus if 2 * c > modulus else c,
+                                   scale) for c in coords])
 
 
 def cyc_matrix_inverse(matrix):
-    """Inverse of a CycNum matrix by Gauss-Jordan; raises SingularP."""
+    """Inverse of a CycNum matrix by Gauss-Jordan; raises SingularP. Does
+    not modify its argument."""
     n = len(matrix)
     order = _common_order(matrix)
     m = [[v.embed(order) for v in row] for row in matrix]

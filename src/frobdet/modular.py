@@ -1,6 +1,9 @@
 """Arithmetic modulo a large prime p = 1 (mod N): a primality test, the
-seeded choice of p, and a primitive N-th root of unity mod p, which is
-where zeta_N goes when values of Q(zeta_N) are reduced mod p."""
+seeded choice of p, the fixed seed-free primes of exact cyclotomic
+determinants, and a primitive N-th root of unity mod p, which is where
+zeta_N goes when values of Q(zeta_N) are reduced mod p."""
+
+from functools import lru_cache
 
 MIN_PRIME = 2 ** 61
 # Miller-Rabin with these bases is exact below 3.3 * 10**24.
@@ -60,3 +63,15 @@ def root_of_unity(order, p):
         if all(pow(w, order // q, p) != 1 for q in primes):
             return w
         g += 1
+
+
+@lru_cache(maxsize=None)
+def fixed_prime(order, i):
+    """The i-th (from 0) of the seed-free primes p = 1 (mod order) above
+    MIN_PRIME, and its primitive order-th root of unity mod p: the primes
+    prime_for chooses at seed 0, each avoiding the ones before it."""
+    avoid = 1
+    for j in range(i):
+        avoid *= fixed_prime(order, j)[0]
+    p = prime_for(order, 0, avoid)
+    return p, root_of_unity(order, p)

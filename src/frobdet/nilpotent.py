@@ -214,7 +214,7 @@ def factor_nil_adjoined(M, cocycle=None):
                    f"elements instead of one",),
             order=order)
     mat, _, zp = annihilator_matrix(M, cocycle)
-    d = cyc_det([row[:] for row in mat])
+    d = cyc_det(mat)
     if d.is_zero():
         return Factorization.zero(
             "nilpotent-annihilator",

@@ -15,18 +15,8 @@ from dataclasses import dataclass
 from .cyclotomic import CycNum
 from .errors import OutOfRange, SizeOverflow
 from .linalg import cyc_det
+from .modular import is_prime
 from .semigroups import validate_table
-
-
-def _is_prime(p):
-    if p < 2:
-        return False
-    d = 2
-    while d * d <= p:
-        if p % d == 0:
-            return False
-        d += 1
-    return True
 
 
 @dataclass(frozen=True)
@@ -43,7 +33,7 @@ class FiniteFieldSpec:
 
     @staticmethod
     def make(p, m):
-        if not _is_prime(p):
+        if not is_prime(p):
             raise OutOfRange(f"{p} is not prime")
         if m < 1:
             raise OutOfRange("extension degree must be at least 1")
@@ -283,7 +273,7 @@ def _prime_power(q):
     while t % p == 0 and t > 1:
         t //= p
         m += 1
-    if t != 1 or not _is_prime(p):
+    if t != 1 or not is_prime(p):
         raise OutOfRange(f"{q} is not a prime power")
     return p, m
 

@@ -315,6 +315,20 @@ def test_ringcheck():
     data = json.loads(out)
     assert data["status"] == "frobenius"
     assert data["size"] == 4
+    code, out, _ = run_cli(["ringcheck", "matmonoid", "2", "2"])
+    assert code == 0
+    assert "det [lambda(st)] = 4294967296\n" in out
+
+
+@pytest.mark.parametrize("n", range(2, 25))
+def test_ringcheck_zmod_is_a_dft_determinant(n):
+    # [zeta^(ab)] is the DFT matrix of Z/n: M * conj(M)^T = n I, so the
+    # printed determinant d satisfies d * conj(d) = n^n
+    code, out, _ = run_cli(["ringcheck", "zmod", str(n), "--json"])
+    assert code == 0
+    data = json.loads(out)
+    d = parse_cyc(data["determinant"], data["cyclotomic_order"])
+    assert d * d.conj() == n ** n
 
 
 def test_kovacs():

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 import time
 from fractions import Fraction
@@ -268,6 +269,99 @@ def test_cyc_det_and_inverse():
     with pytest.raises(SingularP):
         cyc_matrix_inverse([[CycNum.one(), CycNum.one()],
                             [CycNum.one(), CycNum.one()]])
+
+
+def leibniz(m):
+    """Determinant as the signed sum over permutations, in CycNum
+    arithmetic."""
+    total = CycNum.zero()
+    for perm in itertools.permutations(range(len(m))):
+        term = CycNum.one()
+        for i, j in enumerate(perm):
+            term = term * m[i][j]
+        odd = sum(perm[i] > perm[j] for i in range(len(perm))
+                  for j in range(i + 1, len(perm))) % 2
+        total = total - term if odd else total + term
+    return total
+
+
+def random_cyc(rng, orders, size=5):
+    """A sum of up to three roots of unity of an order from `orders`, with
+    Fraction coefficients."""
+    order = rng.choice(orders)
+    v = CycNum.zero(order)
+    for _ in range(rng.randint(0, 3)):
+        v = v + CycNum.root_of_unity(order, rng.randrange(order)) \
+            * Fraction(rng.randint(-size, size), rng.choice([1, 1, 2, 3, 7]))
+    return v
+
+
+def untouched(m, rows):
+    """Whether m holds the same row lists with the same entries as when
+    rows = [(row, list(row)) for row in m] was taken."""
+    return len(m) == len(rows) and all(
+        row is same and len(row) == len(entries)
+        and all(a is b for a, b in zip(row, entries))
+        for row, (same, entries) in zip(m, rows))
+
+
+def check_cyc_det(m):
+    rows = [(row, list(row)) for row in m]
+    d = cyc_det(m)
+    assert d == leibniz(m)
+    if len(m) > 1:
+        assert d.order == math.lcm(*(v.order for row in m for v in row))
+    assert untouched(m, rows)
+    return d
+
+
+@pytest.mark.parametrize("orders,sizes", [
+    ((1,), range(7)), ((2,), range(7)), ((3,), range(7)), ((4,), range(7)),
+    ((9,), range(6)), ((12,), range(6)), ((15,), range(5)),
+    ((105,), range(4)), ((3, 4), range(6)), ((2, 9), range(6)),
+    ((4, 6, 1), range(6)), ((15, 7), range(4)),
+])
+def test_cyc_det_against_leibniz(orders, sizes):
+    # Phi_105 has a coefficient -2, so its power basis has coordinates
+    # beyond 1; mixed orders are embedded into their lcm
+    rng = random.Random(repr(orders))
+    for n in sizes:
+        for _ in range(3):
+            check_cyc_det([[random_cyc(rng, orders) for _ in range(n)]
+                           for _ in range(n)])
+
+
+def test_cyc_det_of_singular_matrices():
+    rng = random.Random(11)
+    for orders in ((1,), (4,), (3, 4), (105,)):
+        for n in (2, 3, 4):
+            m = [[random_cyc(rng, orders) for _ in range(n)]
+                 for _ in range(n)]
+            zero_row = m[:-1] + [[CycNum.zero(rng.choice(orders))] * n]
+            repeated = m[:-1] + [m[0]]
+            scaled = m[:-1] + [[v * Fraction(3, 7) for v in m[0]]]
+            for s in (zero_row, repeated, scaled):
+                assert check_cyc_det(s).is_zero()
+
+
+def test_cyc_det_with_large_coordinates():
+    # coordinates of 40 digits and more lie beyond the product of two
+    # primes above 2^61, so at least three images are combined
+    rng = random.Random(5)
+    m = [[random_cyc(rng, (4, 3), size=10 ** 9) for _ in range(5)]
+         for _ in range(5)]
+    d = check_cyc_det(m)
+    assert max(abs(c) for c in d.coords) >= 10 ** 40
+    m[2] = [v / 11 for v in m[2]]
+    assert check_cyc_det(m) == d / 11
+
+
+def test_cyc_matrix_inverse_leaves_its_argument():
+    rng = random.Random(3)
+    m = [[random_cyc(rng, (3, 4)) for _ in range(3)] for _ in range(3)]
+    rows = [(row, list(row)) for row in m]
+    cyc_matrix_inverse(m)
+    assert untouched(m, rows)
 
 
 def test_unitriangular_inverse():

@@ -1,8 +1,13 @@
+import time
+from fractions import Fraction
+
 import pytest
 
 from frobdet.commutative import chain_fastpath, factor_commutative
+from frobdet.cyclotomic import CycNum
 from frobdet.errors import OutOfRange, SizeOverflow
 from frobdet.factorization import equivalent
+from frobdet.linalg import cyc_det
 from frobdet.rings import (FiniteFieldSpec, frobenius_form_check,
                            kovacs_check, matrix_monoid, zmod_monoid)
 from frobdet.semigroups import analyze
@@ -69,6 +74,33 @@ def test_frobenius_form_nonzero_for_small_zmod():
     for n in range(2, 13):
         S, lam = zmod_monoid(n)
         assert not frobenius_form_check(S, lam).is_zero()
+
+
+def test_frobenius_form_zmod20_is_fast():
+    S, lam = zmod_monoid(20)
+    t0 = time.perf_counter()
+    d = frobenius_form_check(S, lam)
+    assert time.perf_counter() - t0 < 1.0
+    assert d * d.conj() == 20 ** 20
+
+
+def test_cyc_det_does_no_field_arithmetic(monkeypatch):
+    # the exact determinant works on integer coordinates modulo primes;
+    # no elimination over Q(zeta_N) may come back
+    S, lam = zmod_monoid(12)
+    form = [[lam.value(S.table[a][b]) for b in range(S.n)]
+            for a in range(S.n)]
+    z3, z4 = CycNum.root_of_unity(3), CycNum.root_of_unity(4)
+    mixed = [[z3 * Fraction(2, 7), CycNum.one(), z4],
+             [CycNum.from_rational(Fraction(-1, 3)), z4 - z3, z3 * 5],
+             [z4 * Fraction(1, 2), z3 + 1, CycNum.from_rational(3, 2)]]
+    expected = [cyc_det(form), cyc_det(mixed)]
+
+    def refuse(*args):
+        raise AssertionError("field arithmetic inside cyc_det")
+    for name in ("inverse", "__mul__", "__rmul__"):
+        monkeypatch.setattr(CycNum, name, refuse)
+    assert [cyc_det(form), cyc_det(mixed)] == expected
 
 
 def test_matrix_monoid_m2f2():
