@@ -1,15 +1,18 @@
 """Exact arithmetic in cyclotomic fields Q(zeta_N).
 
 A value of order N is stored by its coordinates in the power basis
-1, z, ..., z^(phi(N)-1) of Q[z]/(Phi_N), with Fraction coordinates, so two
-values of equal order are equal iff their coordinate vectors are equal.
+1, z, ..., z^(phi(N)-1) of Q[z]/(Phi_N), as integer numerators over one
+shared positive denominator in lowest terms, so two values of equal order
+are equal iff their numerators and denominators are equal. Phi_N is monic
+with integer coefficients, so reduction mod Phi_N and the change of basis
+between orders are integer tables, and sums and products work on ints.
 Values of different orders are compared and combined after embedding both
 into Q(zeta_lcm) via zeta_N = zeta_M^(M/N).
 """
 
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm
+from math import gcd, lcm
 
 from .errors import OutOfRange, ParseError
 
@@ -54,15 +57,15 @@ def _phi(order):
 
 @lru_cache(maxsize=None)
 def _reduction_rows(order):
-    """Coordinates of z^k mod Phi_order for k in range(d, 2d-1)."""
+    """Integer coordinates of z^k mod Phi_order for k in range(d, 2d-1)."""
     phi = cyclotomic_polynomial(order)
     d = len(phi) - 1
     rows = []
-    row = [Fraction(-c) for c in phi[:d]]
+    row = [-c for c in phi[:d]]
     rows.append(tuple(row))
     for _ in range(d - 2):
         top = row[d - 1]
-        row = [_ZERO] + row[: d - 1]
+        row = [0] + row[: d - 1]
         if top:
             row = [row[i] - top * phi[i] for i in range(d)]
         rows.append(tuple(row))
@@ -71,16 +74,16 @@ def _reduction_rows(order):
 
 @lru_cache(maxsize=None)
 def _power_basis(order):
-    """Coordinates of z^k mod Phi_order for every k in range(order)."""
+    """Integer coordinates of z^k mod Phi_order for every k in range(order)."""
     d = _phi(order)
     phi = cyclotomic_polynomial(order)
     rows = []
-    row = [_ZERO] * d
-    row[0] = _ONE
+    row = [0] * d
+    row[0] = 1
     rows.append(tuple(row))
     for _ in range(order - 1):
         top = row[d - 1]
-        row = [_ZERO] + row[: d - 1]
+        row = [0] + row[: d - 1]
         if top:
             row = [row[i] - top * phi[i] for i in range(d)]
         rows.append(tuple(row))
@@ -99,7 +102,7 @@ def _reduce(coeffs, order):
     """Reduce a coefficient list of length <= 2d-1 mod Phi_order."""
     d = _phi(order)
     out = list(coeffs[:d])
-    out += [_ZERO] * (d - len(out))
+    out += [0] * (d - len(out))
     if len(coeffs) > d:
         rows = _reduction_rows(order)
         for k in range(d, len(coeffs)):
@@ -111,20 +114,61 @@ def _reduce(coeffs, order):
     return out
 
 
-class CycNum:
-    """An element of Q(zeta_order) in canonical power-basis coordinates."""
+def _combine(nums, order, step):
+    """Integer coordinates of sum(nums[j] * z^(j*step)) mod Phi_order."""
+    rows = _power_basis(order)
+    out = [0] * len(rows[0])
+    for j, c in enumerate(nums):
+        if c:
+            row = rows[j * step % order]
+            for i, x in enumerate(row):
+                if x:
+                    out[i] += c * x
+    return out
 
-    __slots__ = ("order", "coords")
+
+class CycNum:
+    """An element of Q(zeta_order): the integer numerators `nums` of its
+    power-basis coordinates over one positive denominator `den`, with
+    gcd(den, *nums) = 1, so zero is (0, ..., 0)/1 and two values of equal
+    order are equal iff (nums, den) are equal."""
+
+    __slots__ = ("order", "nums", "den")
 
     def __init__(self, order, coords):
+        """coords: the power-basis coordinates, int or Fraction."""
+        coords = tuple(coords)
+        den = lcm(1, *(c.denominator for c in coords))
         self.order = order
-        self.coords = tuple(coords)
+        self.nums = tuple(c.numerator * (den // c.denominator) for c in coords)
+        self.den = den
+
+    @staticmethod
+    def from_numerators(order, nums, den):
+        """The value nums / den for integer numerators and a positive
+        integer denominator, brought to lowest terms."""
+        if den != 1:
+            g = gcd(den, *nums)
+            if g != 1:
+                nums = [x // g for x in nums]
+                den //= g
+        out = object.__new__(CycNum)
+        out.order = order
+        out.nums = tuple(nums)
+        out.den = den
+        return out
+
+    @property
+    def coords(self):
+        """The power-basis coordinates as Fractions."""
+        return tuple(Fraction(x, self.den) for x in self.nums)
 
     @staticmethod
     def from_rational(q, order=1):
-        q = Fraction(q)
-        coords = [q] + [_ZERO] * (_phi(order) - 1)
-        return CycNum(order, coords)
+        if not isinstance(q, (int, Fraction)):
+            q = Fraction(q)
+        nums = [q.numerator] + [0] * (_phi(order) - 1)
+        return CycNum.from_numerators(order, nums, q.denominator)
 
     @staticmethod
     def zero(order=1):
@@ -137,23 +181,15 @@ class CycNum:
     @staticmethod
     def root_of_unity(order, k=1):
         """zeta_order^k."""
-        return CycNum(order, _power_basis(order)[k % order])
+        return CycNum.from_numerators(order, _power_basis(order)[k % order], 1)
 
     def embed(self, order):
         if order == self.order:
             return self
         if order % self.order != 0:
             raise OutOfRange(f"cannot embed order {self.order} into {order}")
-        step = order // self.order
-        powers = _power_basis(order)
-        d = _phi(order)
-        out = [_ZERO] * d
-        for j, c in enumerate(self.coords):
-            if c:
-                row = powers[(j * step) % order]
-                for i in range(d):
-                    out[i] += c * row[i]
-        return CycNum(order, out)
+        nums = _combine(self.nums, order, order // self.order)
+        return CycNum.from_numerators(order, nums, self.den)
 
     @staticmethod
     def unify(a, b):
@@ -165,12 +201,19 @@ class CycNum:
     def __add__(self, other):
         other = _coerce(other, self.order)
         a, b = CycNum.unify(self, other)
-        return CycNum(a.order, [x + y for x, y in zip(a.coords, b.coords)])
+        da, db = a.den, b.den
+        if da == db:
+            nums = [x + y for x, y in zip(a.nums, b.nums)]
+        else:
+            nums = [x * db + y * da for x, y in zip(a.nums, b.nums)]
+            da *= db
+        return CycNum.from_numerators(a.order, nums, da)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return CycNum(self.order, [-x for x in self.coords])
+        return CycNum.from_numerators(self.order, [-x for x in self.nums],
+                                      self.den)
 
     def __sub__(self, other):
         return self + (-_coerce(other, self.order))
@@ -179,19 +222,23 @@ class CycNum:
         return _coerce(other, self.order) - self
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            q = Fraction(other)
-            return CycNum(self.order, [x * q for x in self.coords])
+        if not isinstance(other, CycNum):
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
+            q = other.numerator
+            return CycNum.from_numerators(self.order, [x * q for x in self.nums],
+                                          self.den * other.denominator)
         a, b = CycNum.unify(self, other)
-        if len(a.coords) == 1:
-            return CycNum(a.order, (a.coords[0] * b.coords[0],))
-        conv = [_ZERO] * (2 * len(a.coords) - 1)
-        for i, x in enumerate(a.coords):
+        den = a.den * b.den
+        if len(a.nums) == 1:
+            return CycNum.from_numerators(a.order, (a.nums[0] * b.nums[0],), den)
+        conv = [0] * (2 * len(a.nums) - 1)
+        for i, x in enumerate(a.nums):
             if x:
-                for j, y in enumerate(b.coords):
+                for j, y in enumerate(b.nums):
                     if y:
                         conv[i + j] += x * y
-        return CycNum(a.order, _reduce(conv, a.order))
+        return CycNum.from_numerators(a.order, _reduce(conv, a.order), den)
 
     __rmul__ = __mul__
 
@@ -199,7 +246,8 @@ class CycNum:
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero cyclotomic number")
         if self.is_rational():
-            return CycNum.from_rational(1 / self.coords[0], self.order)
+            return CycNum.from_rational(Fraction(self.den, self.nums[0]),
+                                        self.order)
         # extended Euclid against Phi_N in Q[z]; Phi_N is irreducible so the
         # last nonzero remainder is a constant
         r0 = [Fraction(c) for c in cyclotomic_polynomial(self.order)]
@@ -236,40 +284,34 @@ class CycNum:
 
     def conj(self):
         """Complex conjugation, zeta |-> zeta^(N-1)."""
-        if len(self.coords) == 1:
+        if len(self.nums) == 1:
             return self
         n = self.order
-        powers = _power_basis(n)
-        d = len(self.coords)
-        out = [_ZERO] * d
-        for j, c in enumerate(self.coords):
-            if c:
-                row = powers[(n - j) % n]
-                for i in range(d):
-                    out[i] += c * row[i]
-        return CycNum(n, out)
+        return CycNum.from_numerators(n, _combine(self.nums, n, n - 1),
+                                      self.den)
 
     def is_zero(self):
-        return all(c == 0 for c in self.coords)
+        return not any(self.nums)
 
     def is_one(self):
-        return self.coords[0] == 1 and all(c == 0 for c in self.coords[1:])
+        return self.den == 1 and self.nums[0] == 1 and not any(self.nums[1:])
 
     def is_rational(self):
-        return all(c == 0 for c in self.coords[1:])
+        return not any(self.nums[1:])
 
     def as_fraction(self):
         if not self.is_rational():
             raise OutOfRange(f"{self} is not rational")
-        return self.coords[0]
+        return Fraction(self.nums[0], self.den)
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self.is_rational() and self.coords[0] == other
         if not isinstance(other, CycNum):
-            return NotImplemented
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
+            return (self.is_rational() and self.nums[0] == other.numerator
+                    and self.den == other.denominator)
         a, b = CycNum.unify(self, other)
-        return a.coords == b.coords
+        return a.nums == b.nums and a.den == b.den
 
     def __bool__(self):
         return not self.is_zero()
@@ -278,20 +320,23 @@ class CycNum:
         """Canonical string, a polynomial in z with descending powers."""
         if self.is_zero():
             return "0"
+        den = self.den
         parts = []
-        for j in range(len(self.coords) - 1, -1, -1):
-            c = self.coords[j]
-            if c == 0:
+        for j in range(len(self.nums) - 1, -1, -1):
+            x = self.nums[j]
+            if x == 0:
                 continue
+            g = gcd(x, den)
+            q = _rat_str(abs(x) // g, den // g)
             if j == 0:
-                body = _rat_str(abs(c))
+                body = q
             else:
                 mono = "z" if j == 1 else f"z^{j}"
-                body = mono if abs(c) == 1 else f"{_rat_str(abs(c))}*{mono}"
+                body = mono if q == "1" else f"{q}*{mono}"
             if not parts:
-                parts.append(("-" if c < 0 else "") + body)
+                parts.append(("-" if x < 0 else "") + body)
             else:
-                parts.append(("-" if c < 0 else "+") + body)
+                parts.append(("-" if x < 0 else "+") + body)
         return "".join(parts)
 
     __str__ = to_str
@@ -300,8 +345,8 @@ class CycNum:
         return f"CycNum({self.order}, {self.to_str()!r})"
 
 
-def _rat_str(q):
-    return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
+def _rat_str(num, den):
+    return str(num) if den == 1 else f"{num}/{den}"
 
 
 def _coerce(x, order):

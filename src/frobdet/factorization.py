@@ -121,18 +121,17 @@ class _Reduction:
 
     def __init__(self, values, seed):
         self.order = lcm(1, *(c.order for c in values))
-        avoid = lcm(1, *(q.denominator for c in values for q in c.coords))
+        avoid = lcm(1, *(c.den for c in values))
         self.p = prime_for(self.order, seed, avoid)
         self.root = root_of_unity(self.order, self.p)
 
     def image(self, c):
         p, step = self.p, self.order // c.order
         total = 0
-        for j, q in enumerate(c.coords):
-            if q:
-                total += (q.numerator * pow(q.denominator, -1, p)
-                          * pow(self.root, j * step, p))
-        return total % p
+        for j, x in enumerate(c.nums):
+            if x:
+                total += x * pow(self.root, j * step, p)
+        return total * pow(c.den, -1, p) % p
 
     def poly(self, f):
         """A function from an integer point to the value of f there mod p."""

@@ -1,9 +1,8 @@
 """Exact linear algebra over the integers, over cyclotomic fields and
 modulo a prime."""
 
-from fractions import Fraction
 from functools import lru_cache
-from math import gcd, lcm
+from math import gcd, isqrt, lcm
 
 from .cyclotomic import CycNum, cyclotomic_polynomial, power_basis_bound
 from .errors import NotUnitriangular, SingularP
@@ -93,13 +92,14 @@ def cyc_det(matrix):
     """Exact determinant of a square CycNum matrix, in Q(zeta_N) for the
     lcm N of the entries' orders; does not modify its argument.
 
-    Each row is scaled by the lcm of its coordinate denominators to
-    integer power-basis coordinates. The scaled determinant is taken
-    modulo fixed primes p = 1 (mod N) at every primitive N-th root of
-    unity mod p and interpolated to its coordinates mod p, and CRT
-    combines the images until their product exceeds twice the bound
-    R_N * (product of the rows' coordinate 1-norms) on those coordinates
-    (see cyclotomic.power_basis_bound)."""
+    Each row is scaled by the lcm of its entries' denominators to integer
+    power-basis coordinates. The scaled determinant is taken modulo fixed
+    primes p = 1 (mod N) at every primitive N-th root of unity mod p and
+    interpolated to its coordinates mod p, and CRT combines the images
+    until their product exceeds twice a bound on those coordinates: for
+    N <= 2 the entries are integers and Hadamard's bound, the product of
+    the rows' 2-norms, applies; otherwise R_N * (product of the rows'
+    coordinate 1-norms) (see cyclotomic.power_basis_bound)."""
     n = len(matrix)
     if n == 0:
         return CycNum.one()
@@ -108,12 +108,14 @@ def cyc_det(matrix):
     order = _common_order(matrix)
     rows, scale, bound = [], 1, power_basis_bound(order)
     for row in matrix:
-        coords = [v.embed(order).coords for v in row]
-        s = lcm(*(q.denominator for c in coords for q in c))
-        rows.append([[q.numerator * (s // q.denominator) for q in c]
-                     for c in coords])
+        values = [v.embed(order) for v in row]
+        s = lcm(*(v.den for v in values))
+        rows.append([[x * (s // v.den) for x in v.nums] for v in values])
         scale *= s
-        bound *= sum(abs(a) for c in rows[-1] for a in c)
+        if order <= 2:
+            bound *= isqrt(sum(c[0] * c[0] for c in rows[-1])) + 1
+        else:
+            bound *= sum(abs(a) for c in rows[-1] for a in c)
     coords, modulus, i = [0] * len(rows[0][0]), 1, 0
     while modulus <= 2 * bound:
         p, powers, inverse = _split_roots(order, i)
@@ -125,8 +127,8 @@ def cyc_det(matrix):
             coords[t] += modulus * ((v - coords[t]) * step % p)
         modulus *= p
         i += 1
-    return CycNum(order, [Fraction(c - modulus if 2 * c > modulus else c,
-                                   scale) for c in coords])
+    return CycNum.from_numerators(
+        order, [c - modulus if 2 * c > modulus else c for c in coords], scale)
 
 
 def cyc_matrix_inverse(matrix):

@@ -137,7 +137,7 @@ class Poly:
         return all(a.terms[m] == b.terms[m] for m in a.terms)
 
     def __add__(self, other):
-        if isinstance(other, (int, Fraction, CycNum)):
+        if not isinstance(other, Poly):
             other = Poly.const(other, self.order)
         a, b = Poly.unify(self, other)
         terms = dict(a.terms)
@@ -158,7 +158,7 @@ class Poly:
         return Poly(self.order, {m: -c for m, c in self.terms.items()})
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction, CycNum)):
+        if not isinstance(other, Poly):
             other = Poly.const(other, self.order)
         return self + (-other)
 
@@ -175,7 +175,7 @@ class Poly:
         return Poly(n, {m: x.embed(n) * c for m, x in self.terms.items()})
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction, CycNum)):
+        if not isinstance(other, Poly):
             return self.scale(other)
         a, b = Poly.unify(self, other)
         if len(a.terms) > len(b.terms):
@@ -265,25 +265,45 @@ class Poly:
 
     def substitute(self, sub):
         """Substitute variables by polynomials; sub maps var -> Poly.
-        Variables absent from sub are kept."""
+        Variables absent from sub are kept. The result is at the lcm of
+        the orders of self and of the polynomials it substitutes."""
+        order = lcm(self.order, *(sub[v].order for m in self.terms
+                                  for v, _ in m if v in sub))
         cache = {}
 
         def power(v, e):
             key = (v, e)
             if key not in cache:
-                cache[key] = sub[v] ** e
+                p = sub[v].at_order(order)
+                cache[key] = p if e == 1 else p ** e
             return cache[key]
 
-        out = Poly.zero(self.order)
-        for m, c in self.terms.items():
-            term = Poly.const(c, self.order)
+        terms = {}
+
+        def add(m, c):
+            if m in terms:
+                s = terms[m] + c
+                if s.is_zero():
+                    del terms[m]
+                else:
+                    terms[m] = s
+            else:
+                terms[m] = c
+
+        for m, c in self.at_order(order).terms.items():
+            if len(m) == 1 and m[0][1] == 1 and m[0][0] in sub:
+                for ms, cs in power(m[0][0], 1).terms.items():
+                    add(ms, c * cs)
+                continue
+            term = Poly.const(c, order)
             for v, e in m:
                 if v in sub:
                     term = term * power(v, e)
                 else:
-                    term = term * Poly.variable(v, self.order) ** e
-            out = out + term
-        return out
+                    term = term * Poly.variable(v, order) ** e
+            for mt, ct in term.terms.items():
+                add(mt, ct)
+        return Poly(order, terms)
 
     def to_str(self, names=None):
         """Canonical string, terms in descending graded lex order."""
@@ -317,17 +337,14 @@ def _term_str(m, c, names=None):
             parts.append(t if e == 1 else f"{t}^{e}")
         return "*".join(parts)
 
+    if not c.is_rational():
+        body = f"({c.to_str()})"
+        return (body + "*" + mstr() if m else body), False
+    x = c.nums[0]
+    q = _rat_str(abs(x), c.den)
     if not m:
-        if c.is_rational():
-            q = c.as_fraction()
-            return _rat_str(abs(q)), q < 0
-        return "(" + c.to_str() + ")", False
-    if c.is_rational():
-        q = c.as_fraction()
-        if abs(q) == 1:
-            return mstr(), q < 0
-        return f"{_rat_str(abs(q))}*{mstr()}", q < 0
-    return f"({c.to_str()})*{mstr()}", False
+        return q, x < 0
+    return (mstr() if q == "1" else f"{q}*{mstr()}"), x < 0
 
 
 @dataclass(frozen=True)

@@ -8,6 +8,7 @@ construction and stored.
 import re
 from dataclasses import dataclass
 from itertools import product as iproduct
+from operator import itemgetter
 
 from .errors import (AssociativityViolation, DeclaredIdentityNotIdentity,
                      DeclaredZeroNotZero, DuplicateName, FormatError,
@@ -62,11 +63,16 @@ def validate_table(table, names=None, zero=None, identity=None):
                 raise IndexOutOfRange(f"entry {v!r} in row {i} outside 0..{n - 1}")
         rows.append(row)
     t = tuple(rows)
-    for s in range(n):
-        for u in range(n):
-            su = t[s][u]
-            for v in range(n):
-                if t[su][v] != t[s][t[u][v]]:
+    # (s*u)*v = s*(u*v) for all v says row t[s][u] is row s read at the
+    # positions of row u; with n = 1 the one product 0*0 = 0 is associative
+    # and itemgetter would return a scalar
+    if n > 1:
+        compose = [itemgetter(*row) for row in t]
+        for s, row_s in enumerate(t):
+            for u, su in enumerate(row_s):
+                if t[su] != compose[u](row_s):
+                    v = next(v for v in range(n)
+                             if t[su][v] != row_s[t[u][v]])
                     raise AssociativityViolation(s, u, v)
     if names is not None:
         names = tuple(names)

@@ -191,3 +191,156 @@ def test_parse_errors():
         parse_cyc("1//2", 4)
     with pytest.raises(ParseError):
         parse_cyc("x0", 4)
+
+
+# A Fraction-coordinate oracle: schoolbook products reduced by long
+# division by the monic Phi_N, as the representation stood before values
+# were stored as integer numerators over one denominator.
+
+ORDERS = (1, 2, 3, 4, 5, 8, 9, 12, 15, 105)
+
+
+def oracle_reduce(coeffs, order):
+    """Coordinates of sum(coeffs[k] * z^k) mod Phi_order, as Fractions."""
+    phi = cyclotomic_polynomial(order)
+    d = len(phi) - 1
+    out = [Fraction(c) for c in coeffs] + [Fraction(0)] * max(0, d - len(coeffs))
+    for k in range(len(out) - 1, d - 1, -1):
+        c = out[k]
+        if c:
+            for j, y in enumerate(phi):
+                out[k - d + j] -= c * y
+    return out[:d]
+
+
+def oracle_coords(v):
+    return [Fraction(x, v.den) for x in v.nums]
+
+
+def oracle_at(v, order):
+    """v's coordinates embedded at a multiple of its order."""
+    step = order // v.order
+    coeffs = [Fraction(0)] * order
+    for j, c in enumerate(oracle_coords(v)):
+        coeffs[(j * step) % order] += c
+    return oracle_reduce(coeffs, order)
+
+
+def oracle_mul(a, b, order):
+    x, y = oracle_at(a, order), oracle_at(b, order)
+    conv = [Fraction(0)] * (len(x) + len(y) - 1)
+    for i, p in enumerate(x):
+        for j, q in enumerate(y):
+            conv[i + j] += p * q
+    return oracle_reduce(conv, order)
+
+
+def oracle_conj(v):
+    n = v.order
+    coeffs = [Fraction(0)] * n
+    for j, c in enumerate(oracle_coords(v)):
+        coeffs[(n - j) % n] += c
+    return oracle_reduce(coeffs, n)
+
+
+def oracle_str(coords):
+    """The canonical string from Fraction coordinates."""
+    def rat(q):
+        return str(q.numerator) if q.denominator == 1 else \
+            f"{q.numerator}/{q.denominator}"
+    parts = []
+    for j in range(len(coords) - 1, -1, -1):
+        c = coords[j]
+        if c == 0:
+            continue
+        if j == 0:
+            body = rat(abs(c))
+        else:
+            mono = "z" if j == 1 else f"z^{j}"
+            body = mono if abs(c) == 1 else f"{rat(abs(c))}*{mono}"
+        parts.append(("-" if c < 0 else "+" if parts else "") + body)
+    return "".join(parts) or "0"
+
+
+def check_canonical(v):
+    assert all(type(x) is int for x in v.nums)
+    assert type(v.den) is int and v.den > 0
+    assert gcd(v.den, *v.nums) == 1
+    assert len(v.nums) == len(cyclotomic_polynomial(v.order)) - 1
+    if not any(v.nums):
+        assert v.den == 1
+    return v
+
+
+def random_value(rng, order):
+    d = len(cyclotomic_polynomial(order)) - 1
+    coords = [Fraction(rng.randint(-9, 9), rng.choice([1, 1, 2, 3, 4, 35]))
+              if rng.random() < 0.7 else 0 for _ in range(d)]
+    return check_canonical(CycNum(order, coords))
+
+
+def test_operations_match_fraction_oracle():
+    rng = random.Random(23)
+    pairs = [(n, n) for n in ORDERS] + [(3, 4), (1, 8), (2, 9), (5, 3),
+                                        (15, 105), (12, 8), (4, 1)]
+    for n, m in pairs:
+        order = lcm(n, m)
+        for _ in range(6):
+            a, b = random_value(rng, n), random_value(rng, m)
+            assert CycNum(n, oracle_coords(a)) == a
+            want_sum = [x + y for x, y in zip(oracle_at(a, order),
+                                              oracle_at(b, order))]
+            want_diff = [x - y for x, y in zip(oracle_at(a, order),
+                                               oracle_at(b, order))]
+            for got, want in [(a + b, want_sum), (a - b, want_diff),
+                              (a * b, oracle_mul(a, b, order)),
+                              (a.embed(order), oracle_at(a, order)),
+                              (b.embed(order), oracle_at(b, order)),
+                              (a.conj(), oracle_conj(a)),
+                              (-a, [-c for c in oracle_coords(a)]),
+                              (a * Fraction(-5, 6),
+                               [c * Fraction(-5, 6) for c in oracle_coords(a)]),
+                              (a * 0, [0] * len(a.nums)),
+                              (a - a, [0] * len(a.nums))]:
+                check_canonical(got)
+                assert oracle_coords(got) == want
+                assert got.to_str() == oracle_str(want)
+                assert list(got.coords) == want
+            assert (a == b) == (want_diff == [0] * len(want_diff))
+            assert a.is_zero() == (not any(oracle_coords(a)))
+            assert a.is_rational() == (not any(oracle_coords(a)[1:]))
+
+
+def test_integer_and_fraction_coordinates_give_one_value():
+    for order in ORDERS:
+        d = len(cyclotomic_polynomial(order)) - 1
+        ints = [(-1) ** k * k for k in range(d)]
+        a = CycNum(order, ints)
+        b = CycNum(order, [Fraction(2 * c, 2) for c in ints])
+        assert check_canonical(a).den == 1 and a == b and a.nums == b.nums
+        half = CycNum(order, [Fraction(c, 2) for c in ints])
+        assert check_canonical(half) * 2 == a
+        assert (half + half).den == 1
+        zero = CycNum(order, [Fraction(0, 7)] * d)
+        assert check_canonical(zero).den == 1 and zero == CycNum.zero(order)
+    q = CycNum.from_rational(Fraction(-6, 4), 12)
+    assert (q.nums[0], q.den) == (-3, 2) and q == Fraction(-3, 2)
+    assert q != Fraction(3, 2) and q != -1 and CycNum.one(5) == 1
+
+
+def test_arithmetic_builds_no_fraction(monkeypatch):
+    # values are integer numerators over one denominator: sums, products,
+    # embedding, conjugation, comparison and printing need no Fraction
+    rng = random.Random(31)
+    a, b = random_value(rng, 12), random_value(rng, 12)
+    c = random_value(rng, 4)
+    expected = [a * b, a + b, a - b, a * c, a + c, a.embed(24), a.conj(),
+                a * 3, a == b, a == c, a.is_zero(), a.is_one(), a.to_str()]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("Fraction built in cyclotomic arithmetic")
+    monkeypatch.setattr(Fraction, "__new__", refuse)
+    got = [a * b, a + b, a - b, a * c, a + c, a.embed(24), a.conj(),
+           a * 3, a == b, a == c, a.is_zero(), a.is_one(), a.to_str()]
+    monkeypatch.undo()
+    assert got == expected

@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from frobdet import linalg
 from frobdet.cyclotomic import CycNum
 from frobdet.determinant import cayley_matrix
 from frobdet.errors import (DimensionCap, MissingVariable, NotUnitriangular,
@@ -356,6 +357,37 @@ def test_cyc_det_with_large_coordinates():
     assert check_cyc_det(m) == d / 11
 
 
+def test_rational_cyc_det_uses_hadamard_bound(monkeypatch):
+    # J + I of size 40 has det 41 and row 1-norms 41, so the 1-norm bound
+    # 41^40 needs four primes above 2^61; Hadamard's (isqrt(43) + 1)^40
+    # needs two. At orders 1 and 2 cyc_det calls det_mod once per prime.
+    calls = []
+
+    def counted(matrix, p):
+        calls.append(p)
+        return det_mod(matrix, p)
+    monkeypatch.setattr(linalg, "det_mod", counted)
+    n = 40
+    m = [[2 if i == j else 1 for j in range(n)] for i in range(n)]
+    d = cyc_det([[CycNum.from_rational(v) for v in row] for row in m])
+    assert d == int_det(m) == 41 and len(calls) == 2
+    # a Sylvester-Hadamard matrix meets Hadamard's bound with equality;
+    # one row negated, one divided by 3, and at order 2
+    h = [[1]]
+    while len(h) < 32:
+        h = [r + r for r in h] + [r + [-v for v in r] for r in h]
+    h[5] = [-v for v in h[5]]
+    want = int_det(h)
+    assert abs(want) == 32 ** 16
+    for order in (1, 2):
+        calls.clear()
+        rows = [[CycNum.from_rational(v, order) for v in row] for row in h]
+        rows[7] = [v * Fraction(1, 3) for v in rows[7]]
+        d = cyc_det(rows)
+        assert d.order == order and d == Fraction(want, 3)
+        assert len(calls) == 2
+
+
 def test_cyc_matrix_inverse_leaves_its_argument():
     rng = random.Random(3)
     m = [[random_cyc(rng, (3, 4)) for _ in range(3)] for _ in range(3)]
@@ -379,3 +411,52 @@ def test_unitriangular_inverse():
         unitriangular_inverse([[1, 0], [1, 1]], [0, 1])
     with pytest.raises(NotUnitriangular):
         unitriangular_inverse([[2, 0], [0, 1]], [0, 1])
+
+
+def substitute_by_expansion(f, sub):
+    """The substitution f(sub) by plain products and sums, term by term."""
+    out = Poly.zero(f.order)
+    for m, c in f.terms.items():
+        term = Poly.const(c, f.order)
+        for v, e in m:
+            for _ in range(e):
+                term = term * (sub[v] if v in sub else Poly.variable(v))
+        out = out + term
+    return out
+
+
+def test_substitute_matches_expansion():
+    rng = random.Random(41)
+    z3, z4 = CycNum.root_of_unity(3), CycNum.root_of_unity(4)
+    x = [Poly.variable(v) for v in range(6)]
+    cases = [
+        # degree > 1, a variable absent from sub, and a mixed order
+        (x[0] ** 2 * x[1] + x[2] * 3 + x[3] * z3 - 5,
+         {0: x[4] + x[5] * z4, 1: x[4] - 1, 2: x[0] * Fraction(1, 2)}),
+        # two linear terms that cancel to zero, and one that survives
+        (x[0] + x[1] + x[2], {0: x[4] - x[5], 1: x[5] - x[4]}),
+        (x[0] * z3 - x[1] * z3, {0: x[2] + x[3] * z4, 1: x[2] + x[3] * z4}),
+        # a substitution by zero, and by a constant
+        (x[0] * x[1] + x[2], {0: Poly.zero(4), 2: Poly.const(z3)}),
+        (Poly.zero(3), {0: x[1] * z4}),
+    ]
+    for _ in range(30):
+        f = Poly.zero(rng.choice([1, 3]))
+        for _ in range(rng.randint(1, 6)):
+            mono = Poly.const(random_cyc(rng, (1, 3, 4)) + 1)
+            for _ in range(rng.randint(0, 3)):
+                mono = mono * x[rng.randrange(4)]
+            f = f + mono
+        sub = {v: Poly.const(random_cyc(rng, (1, 2, 4, 3)))
+               + x[rng.randrange(6)] * random_cyc(rng, (1, 4))
+               + x[rng.randrange(6)]
+               for v in rng.sample(range(4), rng.randint(0, 4))}
+        cases.append((f, sub))
+    for f, sub in cases:
+        got, want = f.substitute(sub), substitute_by_expansion(f, sub)
+        assert got == want and got.order == want.order
+        assert got.to_str() == want.to_str()
+        assert all(not c.is_zero() and c.order == got.order
+                   for c in got.terms.values())
+    assert cases[1][0].substitute(cases[1][1]) == x[2]
+    assert cases[2][0].substitute(cases[2][1]).is_zero()

@@ -1,3 +1,4 @@
+import random
 from itertools import product as iproduct
 
 import pytest
@@ -28,6 +29,38 @@ def test_validate_rejects_nonassociative():
         validate_table(t)
     s, u, v = e.value.triple
     assert t[t[s][u]][v] != t[s][t[u][v]]
+
+
+def first_violation(t):
+    """The message for the lexicographically first non-associative
+    triple, or None: the check as one loop over all triples."""
+    n = len(t)
+    for s in range(n):
+        for u in range(n):
+            for v in range(n):
+                if t[t[s][u]][v] != t[s][t[u][v]]:
+                    return f"associativity fails at ({s}, {u}, {v})"
+    return None
+
+
+def test_validate_reports_first_violation():
+    rng = random.Random(19)
+    tables = [[[0]], [[0, 0], [0, 1]], [[1, 0], [0, 0]]]
+    for n in (2, 3, 4, 5, 6):
+        for _ in range(40):
+            tables.append([[rng.randrange(n) for _ in range(n)]
+                           for _ in range(n)])
+    seen = set()
+    for t in tables:
+        want = first_violation(t)
+        if want is None:
+            assert validate_table(t).n == len(t)
+        else:
+            with pytest.raises(AssociativityViolation) as e:
+                validate_table(t)
+            assert str(e.value) == want
+        seen.add(want is None)
+    assert seen == {True, False}
 
 
 def test_validate_rejects_bad_entries():
