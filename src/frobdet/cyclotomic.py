@@ -275,12 +275,13 @@ class CycNum:
             return self.inverse() ** (-k)
         out = CycNum.one(self.order)
         base = self
-        while k:
+        while True:
             if k & 1:
                 out = out * base
-            base = base * base
             k >>= 1
-        return out
+            if not k:
+                return out
+            base = base * base
 
     def conj(self):
         """Complex conjugation, zeta |-> zeta^(N-1)."""

@@ -5,6 +5,14 @@ Variables are nonnegative integers (element ids). A monomial is a tuple of
 Terms are kept in a dict monomial -> CycNum with no zero coefficients, all
 coefficients embedded at the polynomial's cyclotomic order. The term order
 everywhere is graded lexicographic on variable index.
+
+det_poly_matrix does not multiply Poly objects. It packs each term
+c * x^e * zeta_N^j into one integer key, with j in digit 0 and the exponent
+of the i-th variable of the matrix in digit i, all digits w bits wide. The
+width is chosen from a bound on every digit of a product of n entries, so
+no digit carries and multiplying two terms is adding their keys. Only the
+result is turned back into a Poly: its zeta-parts, left unreduced during
+the expansion, are reduced mod Phi_N once at the end.
 """
 
 from dataclasses import dataclass
@@ -12,10 +20,16 @@ from fractions import Fraction
 from functools import cmp_to_key
 from math import lcm
 
-from .cyclotomic import CycNum, _coerce, _rat_str, parse_cyc
+from .cyclotomic import CycNum, _coerce, _combine, _phi, _rat_str, parse_cyc
 from .errors import DimensionCap, MissingVariable, ParseError
 
 DEFAULT_CAP = 12
+# The most packed terms det_poly_matrix holds at once before it gives up
+# with DimensionCap. A term takes about 100 bytes in CPython, so the budget
+# trips near 0.4 GB of resident memory (the 18x18 groupoid block of rook 3,
+# reached with --cap 18 or more). The plain det of zmult 12, at the default
+# cap, peaks at 1.15 million terms.
+TERM_BUDGET = 4_000_000
 
 
 def mono_mul(a, b):
@@ -202,12 +216,13 @@ class Poly:
             raise ValueError("negative power of a polynomial")
         out = Poly.const(1, self.order)
         base = self
-        while k:
+        while True:
             if k & 1:
                 out = out * base
-            base = base * base
             k >>= 1
-        return out
+            if not k:
+                return out
+            base = base * base
 
     def total_degree(self):
         if not self.terms:
@@ -372,6 +387,21 @@ class LinForm:
         return Poly(self.order, {((v, 1),): c for v, c in self.coeffs})
 
 
+def _add_product(out, a, b):
+    """Add the product of two packed polynomials (key -> int) into out."""
+    get = out.get
+    if len(b) == 1:
+        [(kb, cb)] = b.items()
+        for ka, ca in a.items():
+            k = ka + kb
+            out[k] = get(k, 0) + ca * cb
+        return
+    for ka, ca in a.items():
+        for kb, cb in b.items():
+            k = ka + kb
+            out[k] = get(k, 0) + ca * cb
+
+
 def det_poly_matrix(matrix, cap=DEFAULT_CAP):
     """Exact determinant of a square matrix of Poly, division-free.
 
@@ -383,7 +413,20 @@ def det_poly_matrix(matrix, cap=DEFAULT_CAP):
     j. Only products and sums are formed, so the result is exact for any
     entries; the cost grows as n*2^n. Before that, each row with at most
     one nonzero entry is expanded on its own: it contributes that entry,
-    signed (-1)^(i+j), times its minor, or makes the determinant 0."""
+    signed (-1)^(i+j), times its minor, or makes the determinant 0.
+
+    The expansion runs on dicts key -> int, not on Poly. Every entry is
+    lifted to the common order N and each row is scaled by the lcm of its
+    coefficients' denominators, so a term is an integer times x^e * z^j
+    with z = zeta_N and j < phi(N). Its key is j + sum e_v * 2^(w*i(v)),
+    where i(v) >= 1 numbers the variables of the matrix in increasing
+    order. A product of n entries has j <= n*(phi(N)-1) and no exponent
+    above the sum over rows of the highest entry degree; w is the bit
+    length of the larger bound, so no digit carries and a product of two
+    terms is one addition of keys and one multiplication of coefficients.
+    At the end the terms are grouped by their x-part, each z-polynomial is
+    reduced mod Phi_N, and the product of the row scales is divided out.
+    Holding more than TERM_BUDGET terms at once raises DimensionCap."""
     n = len(matrix)
     if n == 0:
         return Poly.const(1)
@@ -391,14 +434,33 @@ def det_poly_matrix(matrix, cap=DEFAULT_CAP):
         raise ValueError("matrix is not square")
     if n > cap:
         raise DimensionCap(f"symbolic determinant of dimension {n} exceeds cap {cap}")
-    order = 1
-    for row in matrix:
-        for p in row:
-            order = lcm(order, p.order)
+    order = lcm(*(p.order for row in matrix for p in row))
     matrix = [[p.at_order(order) for p in row] for row in matrix]
-    peeled = Poly.const(1, order)
+    variables = sorted({v for row in matrix for p in row
+                        for m in p.terms for v, _ in m})
+    index = {v: i + 1 for i, v in enumerate(variables)}
+    bound = max(sum(max(p.total_degree() for p in row) for row in matrix),
+                n * (_phi(order) - 1), 1)
+    w = bound.bit_length()
+    scale = 1
+    rows = []
+    for row in matrix:
+        s = lcm(*(c.den for p in row for c in p.terms.values()))
+        scale *= s
+        packed = []
+        for p in row:
+            terms = {}
+            for m, c in p.terms.items():
+                x = sum(e << w * index[v] for v, e in m)
+                f = s // c.den
+                for j, a in enumerate(c.nums):
+                    if a:
+                        terms[x + j] = a * f
+            packed.append(terms)
+        rows.append(packed)
+    peeled = {0: 1}
     while True:
-        for i, row in enumerate(matrix):
+        for i, row in enumerate(rows):
             nonzero = [j for j, p in enumerate(row) if p]
             if len(nonzero) <= 1:
                 break
@@ -407,23 +469,62 @@ def det_poly_matrix(matrix, cap=DEFAULT_CAP):
         if not nonzero:
             return Poly.zero(order)
         j = nonzero[0]
-        peeled = peeled * (-row[j] if (i + j) & 1 else row[j])
-        matrix = [r[:j] + r[j + 1:] for k, r in enumerate(matrix) if k != i]
+        entry = row[j]
+        if (i + j) & 1:
+            entry = {k: -c for k, c in entry.items()}
+        product = {}
+        _add_product(product, peeled, entry)
+        peeled = product
+        rows = [r[:j] + r[j + 1:] for k, r in enumerate(rows) if k != i]
     partial = {0: peeled}
-    for row in matrix:
-        entries = [(1 << j, p, -p) for j, p in enumerate(row) if p]
+    live = len(peeled)
+    for row in rows:
+        entries = [(1 << j, p, {k: -c for k, c in p.items()})
+                   for j, p in enumerate(row) if p]
         nxt = {}
-        for used, acc in partial.items():
+        while partial:
+            used, acc = partial.popitem()
             for bit, entry, negated in entries:
                 if used & bit:
                     continue
-                term = acc * (negated if (used // bit).bit_count() & 1 else entry)
-                key = used | bit
-                nxt[key] = nxt[key] + term if key in nxt else term
-        partial = {key: p for key, p in nxt.items() if not p.is_zero()}
+                if (used // bit).bit_count() & 1:
+                    entry = negated
+                out = nxt.setdefault(used | bit, {})
+                live -= len(out)
+                _add_product(out, acc, entry)
+                live += len(out)
+                if live > TERM_BUDGET:
+                    raise DimensionCap(
+                        f"symbolic determinant of dimension {n} exceeds "
+                        f"the budget of {TERM_BUDGET} terms")
+            live -= len(acc)
+        live = 0
+        for key, out in nxt.items():
+            for k in [k for k, c in out.items() if not c]:
+                del out[k]
+            if out:
+                partial[key] = out
+                live += len(out)
         if not partial:
             return Poly.zero(order)
-    return partial[(1 << len(matrix)) - 1]
+    mask = (1 << w) - 1
+    groups = {}
+    for k, c in partial.popitem()[1].items():
+        groups.setdefault(k >> w, {})[k & mask] = c
+    terms = {}
+    for x, zs in groups.items():
+        coeffs = [0] * (max(zs) + 1)
+        for j, c in zs.items():
+            coeffs[j] = c
+        nums = _combine(coeffs, order, 1)
+        if any(nums):
+            mono = []
+            for v in variables:
+                if x & mask:
+                    mono.append((v, x & mask))
+                x >>= w
+            terms[tuple(mono)] = CycNum.from_numerators(order, nums, scale)
+    return Poly(order, terms)
 
 
 def poly_identity_test(p, q, seed=0):

@@ -6,6 +6,7 @@ import os
 import pathlib
 import random
 import re
+import resource
 import signal
 import subprocess
 import sys
@@ -17,7 +18,7 @@ from frobdet import cli, determinant
 from frobdet.cli import form_poly, run
 from frobdet.cyclotomic import parse_cyc
 from frobdet.groupoids import inverse_determinant
-from frobdet.poly import Poly
+from frobdet.poly import TERM_BUDGET, Poly
 from frobdet.semigroups import adjoin_zero, build_family, emit_sgp
 
 from corpus import zmult
@@ -112,6 +113,30 @@ def test_inverse_route_expands_the_groupoid_once(monkeypatch):
     assert "note: inverse route skipped: symbolic determinant of dimension" \
         in out
 
+
+
+def test_raised_cap_stops_at_the_term_budget():
+    # with --cap 20 the inverse route expands rook 3's 18x18 groupoid block;
+    # the expansion stops at poly.TERM_BUDGET instead of exhausting memory
+    # (the child gets a 2 GB address space), and factor falls back to the
+    # vanishing test
+    def limit_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+    src = str(pathlib.Path(frobdet.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-m", "frobdet.cli", "factor", "-", "--cap", "20"],
+        input=emit_sgp(build_family("rook", 3)), capture_output=True,
+        text=True, timeout=60, env=env, preexec_fn=limit_memory)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    notes = [line for line in proc.stdout.splitlines()
+             if line.startswith("note: inverse route skipped")]
+    assert notes == ["note: inverse route skipped: symbolic determinant of "
+                     f"dimension 18 exceeds the budget of {TERM_BUDGET} "
+                     "terms"]
+    assert proc.stdout.startswith("status: frobenius\n")
 
 def test_each_factor_request_checks_its_answer_once(monkeypatch, tmp_path):
     outcomes, dims = [], []

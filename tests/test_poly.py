@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from frobdet import linalg
+from frobdet import linalg, poly
 from frobdet.cyclotomic import CycNum
 from frobdet.determinant import cayley_matrix
 from frobdet.errors import (DimensionCap, MissingVariable, NotUnitriangular,
@@ -224,6 +224,183 @@ def test_det_dimension_cap():
     # override allows it
     assert det_poly_matrix(m, cap=13) == x(0) * x(1) * x(2) * x(3) * x(4) * x(5) * \
         x(6) * x(7) * x(8) * x(9) * x(10) * x(11) * x(12)
+
+
+def check_det(m):
+    """det_poly_matrix(m) against the Leibniz sum, with the invariants of a
+    Poly: every coefficient nonzero, at the result's order, in lowest terms
+    over a positive denominator."""
+    d = det_poly_matrix(m)
+    assert d == _leibniz_det(m)
+    assert d.order == math.lcm(*(p.order for row in m for p in row))
+    for mono, c in d.terms.items():
+        assert c.order == d.order and not c.is_zero()
+        assert c.den > 0 and math.gcd(c.den, *c.nums) == 1
+        assert list(mono) == sorted(mono) and all(e > 0 for _, e in mono)
+    return d
+
+
+def random_entry(rng, orders, variables, degree=1):
+    """A sum of a constant and up to two terms of degree 1..degree, each
+    with a random_cyc coefficient of an order from `orders`."""
+    p = Poly.const(random_cyc(rng, orders))
+    for _ in range(rng.randint(0, 2)):
+        term = Poly.const(random_cyc(rng, orders))
+        for _ in range(rng.randint(1, degree)):
+            term = term * x(rng.choice(variables))
+        p = p + term
+    return p
+
+
+@pytest.mark.parametrize("orders,n", [((3, 4), 5), ((2, 9), 5), ((105,), 3),
+                                      ((1,), 6), ((12,), 5), ((5,), 5)])
+def test_det_against_leibniz_at_cyclotomic_orders(orders, n):
+    # Phi_105 has phi = 48 and a coefficient -2; mixed orders are lifted to
+    # their lcm before the terms are packed
+    rng = random.Random(repr(orders))
+    for size in range(1, n + 1):
+        m = [[random_entry(rng, orders, (0, 1, 2)) for _ in range(size)]
+             for _ in range(size)]
+        check_det(m)
+
+
+def test_det_with_a_denominator_per_row():
+    rng = random.Random(8)
+    for trial in range(5):
+        n = 5
+        dens = [rng.choice([1, 2, 3, 5, 7, 9, 12]) for _ in range(n)]
+        m = [[x(rng.randrange(4)) * Fraction(rng.randint(-4, 4), d)
+              + Fraction(rng.randint(-3, 3), d * rng.choice([1, 2]))
+              for _ in range(n)] for d in dens]
+        check_det(m)
+    z3 = CycNum.root_of_unity(3)
+    m = [[x(0).scale(z3 * Fraction(1, 6)), Poly.const(Fraction(5, 4))],
+         [Poly.const(Fraction(-2, 9)), x(1) * Fraction(7, 10)]]
+    assert check_det(m) == (x(0) * x(1)).scale(z3 * Fraction(7, 60)) \
+        + Fraction(5, 18)
+
+
+def test_det_with_exponents_at_the_digit_bound():
+    # x0^7 in every row of a 5x5: the product x0^35 reaches the bound the
+    # digit width is chosen from
+    rng = random.Random(35)
+    z4 = CycNum.root_of_unity(4)
+    for trial in range(3):
+        m = [[x(0) ** 7 * rng.randint(1, 5) + x(1) ** 2 * x(2) * rng.randint(-2, 2)
+              + Poly.const(z4 * rng.randint(-1, 1))
+              for _ in range(5)] for _ in range(5)]
+        lead = int_det([[p.coefficient(((0, 7),)).as_fraction() for p in row]
+                        for row in m])
+        d = check_det(m)
+        assert d.coefficient(((0, 35),)) == lead
+    high = [[random_entry(rng, (1, 3), (0, 1), degree=4) for _ in range(4)]
+            for _ in range(4)]
+    check_det(high)
+
+
+def test_det_with_sparse_large_variable_ids():
+    rng = random.Random(1000)
+    for order in (1, 4):
+        for n in (3, 4, 5):
+            m = [[random_entry(rng, (order,), (0, 63, 1000), degree=2)
+                  for _ in range(n)] for _ in range(n)]
+            d = check_det(m)
+            assert d.variables() <= {0, 63, 1000}
+
+
+def test_det_of_peeled_and_singular_matrices():
+    rng = random.Random(19)
+    z12 = CycNum.root_of_unity(12)
+    for orders in ((1,), (12,), (3, 4)):
+        n = 5
+        # a permuted triangular matrix peels row by row to the end
+        tri = [[random_entry(rng, orders, (0, 1, 2)) if j >= i
+                else Poly.zero() for j in range(n)] for i in range(n)]
+        rows, cols = rng.sample(range(n), n), rng.sample(range(n), n)
+        check_det([[tri[r][c] for c in cols] for r in rows])
+        sigma = rng.sample(range(n), n)
+        check_det([[random_entry(rng, orders, (3, 4)) if j == sigma[i]
+                    else Poly.zero() for j in range(n)] for i in range(n)])
+        m = [[random_entry(rng, orders, (0, 1, 2)) for _ in range(n)]
+             for _ in range(n)]
+        zero_row = m[:-1] + [[Poly.zero()] * n]
+        repeated = m[:-1] + [m[1]]
+        # z^5 times row 0: over Z[z] the expansion is a nonzero multiple
+        # of Phi_12, which the reduction at the end takes to 0
+        rotated = m[:-1] + [[p.scale(z12 ** 5) for p in m[0]]]
+        for s in (zero_row, repeated, rotated):
+            assert check_det(s).is_zero()
+
+
+def test_det_does_no_poly_or_field_arithmetic(monkeypatch):
+    # the expansion multiplies packed integer terms; only the result is
+    # turned back into CycNum coefficients
+    rng = random.Random(12)
+    z = CycNum.root_of_unity(12)
+    m = [[x(rng.randrange(5)).scale(z ** rng.randrange(12)) * rng.randint(1, 3)
+          + Poly.const(z ** rng.randrange(12) * rng.randint(-2, 2), 12)
+          for _ in range(5)] for _ in range(5)]
+    assert all(p.order == 12 for row in m for p in row)
+    expected = _leibniz_det(m)
+
+    def refuse(*args):
+        raise AssertionError("Poly or CycNum arithmetic inside the expansion")
+    for cls, name in ((CycNum, "__mul__"), (CycNum, "__rmul__"),
+                      (CycNum, "__add__"), (CycNum, "__radd__"),
+                      (Poly, "__mul__"), (Poly, "__rmul__")):
+        monkeypatch.setattr(cls, name, refuse)
+    d = det_poly_matrix(m)
+    monkeypatch.undo()
+    assert d == expected and not d.is_zero()
+
+
+def test_det_cyclic_nilpotent_10_is_fast():
+    # the plain 11x11 matrix has no sparse row, so nothing is peeled
+    S = build_family("cyclic_nilpotent", 10)
+    rows = [list(r) for r in cayley_matrix(S).entries]
+    start = time.perf_counter()
+    theta = det_poly_matrix(rows)
+    assert time.perf_counter() - start < 3.0
+    rng = random.Random(10)
+    for _ in range(3):
+        point = {v: rng.randint(-9, 9) for v in range(S.n)}
+        ints = [[p.evaluate(point).as_fraction() for p in r] for r in rows]
+        assert theta.evaluate(point).as_fraction() == int_det(ints)
+
+
+def test_det_term_budget(monkeypatch):
+    n = 7
+    m = [[x((i + j) % n) for j in range(n)] for i in range(n)]
+    theta = det_poly_matrix(m)
+    monkeypatch.setattr(poly, "TERM_BUDGET", 200)
+    with pytest.raises(DimensionCap,
+                       match="^symbolic determinant of dimension 7 exceeds "
+                             "the budget of 200 terms$"):
+        det_poly_matrix(m)
+    monkeypatch.setattr(poly, "TERM_BUDGET", len(theta.terms) * 10)
+    assert det_poly_matrix(m) == theta
+
+
+@pytest.mark.parametrize("order", [1, 12])
+def test_powers_match_repeated_products(order, monkeypatch):
+    z = CycNum.root_of_unity(order)
+    f = x(0).scale(z) + x(1) * Fraction(2, 3) - 1
+    c = z * 3 + Fraction(1, 2)
+    want_f, want_c = Poly.const(1, order), CycNum.one(order)
+    for m in range(10):
+        assert f ** m == want_f and c ** m == want_c
+        want_f, want_c = want_f * f, want_c * c
+    calls = []
+    for cls in (Poly, CycNum):
+        def counting(self, other, mul=cls.__mul__):
+            calls.append(type(self))
+            return mul(self, other)
+        monkeypatch.setattr(cls, "__mul__", counting)
+    assert f ** 1 == f
+    assert calls.count(Poly) <= 1
+    calls.clear()
+    assert c ** 1 == c
+    assert len(calls) <= 1
 
 
 def test_identity_test_modes():
