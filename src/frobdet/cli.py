@@ -16,16 +16,8 @@ from .commutative import factor_commutative, factor_local
 from .cyclotomic import parse_cyc
 from .determinant import factor_group_determinant, frobenius_test, \
     paratrophic_determinant, verify_against
-from .errors import (
-    DimensionCap,
-    FrobdetError,
-    FormatError,
-    NonabelianWithoutReps,
-    NotCommutative,
-    NotInverse,
-    NotLocalShape,
-    NotNilpotentAdjoined,
-)
+from .errors import (DimensionCap, FrobdetError, FormatError, NotApplicable,
+                     NotInverse)
 from .factorization import verify_factorization, Factorization, lift_zero
 from .groupoids import factor_clifford, groupoid_structure, inverse_determinant
 from .nilpotent import factor_nil_adjoined, parse_cocycle
@@ -303,53 +295,46 @@ def cmd_groupoid(args):
     return 0
 
 
-def dispatch_factor(S, args):
-    """Pick the factorization theorem for S; returns (data, lines).
-
-    Tries, in order: semilattice, abelian group, Clifford, general
-    inverse, nilpotent-adjoined, commutative. The answer of the first
-    route that applies is checked once against the plain determinant; the
-    nilpotent route factors the contracted determinant, checks it there
-    and lifts it to the plain one. Routes whose hypotheses fail are
-    skipped with a note; when none applies the staged vanishing test runs
-    instead."""
+def factor_routes(S, args, cocycle):
+    """The routes of a factor request, in the order cmd_factor tries them:
+    (guard, factorizer, mode). The factorizer runs when the guard, a bool
+    or a function of the skips so far, holds. mode names the determinant
+    the answer is checked against; None marks the general inverse route,
+    which checks its expanded theta itself. Plain factor lifts an answer
+    for the contracted determinant to the plain one."""
+    if cocycle is not None:
+        return [(True, lambda S: factor_nil_adjoined(S, cocycle), "twisted")]
+    if args.contracted:
+        return [(True, factor_nil_adjoined, "contracted"),
+                (True, factor_local, "contracted")]
     cap = effective_cap(args, S.n)
     rep = analyze(S)
-    skipped = []
-    if rep.is_semilattice:
-        return finish_factor(checked_factor(S, factor_semilattice(S), args), S)
-    if rep.is_group and rep.is_commutative:
-        return finish_factor(
-            checked_factor(S, factor_group_determinant(S), args), S)
-    clifford_error = None
-    try:
-        if rep.central_idempotents:
-            try:
-                return finish_factor(
-                    checked_factor(S, factor_clifford(S), args), S)
-            except NonabelianWithoutReps as e:
-                clifford_error = e
-        theta, record = inverse_determinant(S, cap=cap)
-        return inverse_result(S, theta, record, args)
-    except NotInverse:
-        pass
-    except DimensionCap as e:
-        skipped.append(f"inverse route skipped: {clifford_error or e}")
-    try:
-        F = checked_factor(S, factor_nil_adjoined(S), args, "contracted")
-        return finish_factor(lift_zero(F, S.zero), S)
-    except NotNilpotentAdjoined:
-        pass
-    if rep.is_commutative:
-        return finish_factor(
-            checked_factor(S, factor_commutative(S), args), S)
-    skipped.append("no factorization theorem applies; "
-                   "staged vanishing test only")
-    r = frobenius_test(S, seed=args.seed, cap=cap)
-    data = frobenius_data(r, S, extra_notes=skipped)
+    return [
+        (rep.is_semilattice, factor_semilattice, "plain"),
+        (rep.is_group and rep.is_commutative, factor_group_determinant,
+         "plain"),
+        (rep.central_idempotents, factor_clifford, "plain"),
+        # skipped when Clifford's theorem has found S not inverse
+        (lambda skips: not any(isinstance(e, NotInverse) for e in skips),
+         lambda S: inverse_determinant(S, cap=cap), None),
+        (True, factor_nil_adjoined, "contracted"),
+        (rep.is_commutative, factor_commutative, "plain"),
+    ]
+
+
+def vanishing_result(S, args, skips):
+    """The staged vanishing test, when no route answers a plain request.
+    When the inverse route stopped at the cap, a note gives its first
+    reason: the Clifford theorem's, if that ran."""
+    notes = []
+    if any(isinstance(e.__cause__, DimensionCap) for e in skips):
+        notes.append(f"inverse route skipped: {skips[0]}")
+    notes.append("no factorization theorem applies; "
+                 "staged vanishing test only")
+    r = frobenius_test(S, seed=args.seed, cap=effective_cap(args, S.n))
+    data = frobenius_data(r, S, extra_notes=notes)
     data["provenance"] = None
-    lines = frobenius_lines(r, S, extra_notes=skipped)
-    return data, lines
+    return data, frobenius_lines(r, S, extra_notes=notes)
 
 
 def checked_factor(S, F, args, mode="plain", cocycle=None):
@@ -359,17 +344,12 @@ def checked_factor(S, F, args, mode="plain", cocycle=None):
                           seed=args.seed)
 
 
-def finish_factor(F, S):
-    return factorization_data(F, S), factorization_lines(F, S)
-
-
 def inverse_result(S, theta, record, args):
     status = "zero" if theta.is_zero() else "frobenius"
     comps = [{"base": S.name_of(b), "n_objects": k, "group_order": g}
              for _, b, k, g in groupoid_structure(S).components]
-    verified = record.get("verified")
     verification = ({"mode": "exact", "rounds": 1, "seed": args.seed}
-                    if verified == "exact" else None)
+                    if record["verified"] == "exact" else None)
     data = {
         "status": status,
         "provenance": "groupoid-mobius",
@@ -389,25 +369,40 @@ def inverse_result(S, theta, record, args):
 
 
 def cmd_factor(args):
+    """Factor with the first route that applies and check its answer
+    once. Only the factorizer call is inside the try: an error from a
+    check always propagates."""
     S = load_semigroup(args.input)
-    if args.twist is not None:
-        cocycle = parse_cocycle(read_input(args.twist), S)
-        F = factor_nil_adjoined(S, cocycle)
-        data, lines = finish_factor(
-            checked_factor(S, F, args, "twisted", cocycle), S)
-    elif args.contracted:
+    cocycle = (None if args.twist is None
+               else parse_cocycle(read_input(args.twist), S))
+    skips = []
+    for applies, factorize, mode in factor_routes(S, args, cocycle):
+        if callable(applies):
+            applies = applies(skips)
+        if not applies:
+            continue
         try:
-            F = factor_nil_adjoined(S)
-        except NotNilpotentAdjoined:
-            try:
-                F = factor_local(S)
-            except (NotLocalShape, NotCommutative) as e:
-                raise FrobdetError(
-                    "no contracted factorizer applies: " + str(e))
-        data, lines = finish_factor(
-            checked_factor(S, F, args, "contracted"), S)
+            answer = factorize(S)
+        except NotApplicable as e:
+            # kept for its type and text; without its traceback it keeps
+            # no frame of this request alive in a reference cycle
+            skips.append(e.with_traceback(None))
+            continue
+        if mode is None:
+            data, lines = inverse_result(S, *answer, args)
+        else:
+            F = checked_factor(S, answer, args, mode, cocycle)
+            if mode == "contracted" and not args.contracted:
+                F = lift_zero(F, S.zero)
+            data, lines = factorization_data(F, S), factorization_lines(F, S)
+        break
     else:
-        data, lines = dispatch_factor(S, args)
+        if cocycle is not None:
+            raise skips[-1]
+        if args.contracted:
+            raise FrobdetError(
+                "no contracted factorizer applies: " + str(skips[-1]))
+        data, lines = vanishing_result(S, args, skips)
     emit(args, data, lines)
     return 0
 

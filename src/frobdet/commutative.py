@@ -22,7 +22,8 @@ from .errors import (IdempotentsNotCentral, NotChain, NotCommutative,
                      NotIdempotentSemigroup, NotLocalShape)
 from .factorization import Factorization
 from .linalg import cyc_det
-from .nilpotent import Cocycle, analyze_nilpotent, annihilator_matrix
+from .nilpotent import (Cocycle, analyze_nilpotent, annihilator_matrix,
+                        first_non_nilpotent)
 from .poly import DEFAULT_CAP, LinForm, Poly
 from .posets import mobius_forms, natural_order, splus_map
 from .semigroups import analyze, group_of_units, validate_table
@@ -120,16 +121,9 @@ def _local_shape(M):
         raise NotLocalShape("no zero element")
     G, unit_ids = group_of_units(M)
     unit_set = set(unit_ids)
-    t = M.table
-    for s in range(M.n):
-        if s in unit_set:
-            continue
-        p, steps = s, 0
-        while p != M.zero:
-            p = t[p][s]
-            steps += 1
-            if steps > M.n:
-                raise NotLocalShape(f"nonunit {M.name_of(s)} is not nilpotent")
+    s = first_non_nilpotent(M, [s for s in range(M.n) if s not in unit_set])
+    if s is not None:
+        raise NotLocalShape(f"nonunit {M.name_of(s)} is not nilpotent")
     return G, unit_ids
 
 

@@ -9,6 +9,12 @@ class FrobdetError(Exception):
     pass
 
 
+class NotApplicable(FrobdetError):
+    """A factorization theorem does not apply to the input. `factor`
+    catches it around each factorizer call and tries its next route;
+    every other error propagates."""
+
+
 # table construction and IO
 
 class AssociativityViolation(FrobdetError):
@@ -129,7 +135,7 @@ class VerificationFailed(FrobdetError):
 
 # inverse semigroups and groupoids
 
-class NotInverse(FrobdetError):
+class NotInverse(NotApplicable):
     pass
 
 
@@ -137,13 +143,13 @@ class NotClifford(FrobdetError):
     pass
 
 
-class NonabelianWithoutReps(FrobdetError):
+class NonabelianWithoutReps(NotApplicable):
     pass
 
 
 # nilpotent-adjoined monoids
 
-class NotNilpotentAdjoined(FrobdetError):
+class NotNilpotentAdjoined(NotApplicable):
     pass
 
 
@@ -165,11 +171,11 @@ class IdempotentsNotCentral(FrobdetError):
     pass
 
 
-class NotLocalShape(FrobdetError):
+class NotLocalShape(NotApplicable):
     pass
 
 
-class NotCommutative(FrobdetError):
+class NotCommutative(NotApplicable):
     pass
 
 

@@ -11,8 +11,8 @@ from dataclasses import dataclass
 
 from .cyclotomic import CycNum
 from .determinant import factor_group_determinant, paratrophic_determinant
-from .errors import (NonabelianWithoutReps, NotClifford, NotInverse,
-                     VerificationFailed)
+from .errors import (DimensionCap, NonabelianWithoutReps, NotApplicable,
+                     NotClifford, NotInverse, VerificationFailed)
 from .factorization import Factorization
 from .poly import DEFAULT_CAP, Poly, det_poly_matrix
 from .posets import mobius_forms
@@ -153,22 +153,23 @@ def groupoid_determinant(S, cap=DEFAULT_CAP):
 def inverse_determinant(S, cap=DEFAULT_CAP):
     """The semigroup determinant of an inverse semigroup, computed through
     the groupoid and the Mobius substitution; checked against the plain
-    symbolic determinant when the size is within cap.
+    symbolic determinant when the size is within cap. An expansion past
+    the cap or the term budget raises NotApplicable.
 
     Returns (theta, record) where record carries the groupoid determinant
     and the substitution."""
-    gd = groupoid_determinant(S, cap=cap)
+    try:
+        gd = groupoid_determinant(S, cap=cap)
+        plain = paratrophic_determinant(S, cap=cap) if S.n <= cap else None
+    except DimensionCap as e:
+        raise NotApplicable(str(e)) from e
     sub = mobius_forms(S, "inverse")
     theta = gd.substitute(sub)
-    record = {"groupoid_determinant": gd, "substitution": sub}
-    if S.n <= cap:
-        plain = paratrophic_determinant(S, cap=cap)
-        if plain != theta:
-            raise VerificationFailed(
-                "groupoid route disagrees with the plain determinant")
-        record["verified"] = "exact"
-    else:
-        record["verified"] = "skipped"
+    if plain is not None and plain != theta:
+        raise VerificationFailed(
+            "groupoid route disagrees with the plain determinant")
+    record = {"groupoid_determinant": gd, "substitution": sub,
+              "verified": "skipped" if plain is None else "exact"}
     return theta, record
 
 

@@ -130,6 +130,20 @@ class NilReport:
     unique_annihilator: int | None
 
 
+def first_non_nilpotent(M, elements):
+    """The first of elements whose powers s, s^2, ... never reach the zero
+    of M, or None when every one of them is nilpotent."""
+    t, z = M.table, M.zero
+    for s in elements:
+        p, steps = s, 0
+        while p != z:
+            p = t[p][s]
+            steps += 1
+            if steps > M.n:
+                return s
+    return None
+
+
 def analyze_nilpotent(M):
     """Check the shape identity + nilpotent part, and find the elements
     that kill everything."""
@@ -144,15 +158,10 @@ def analyze_nilpotent(M):
                          None, (), (), (), None)
     rest = [s for s in range(M.n) if s != e]
     # nilpotency of every non-identity element, and no stray units
-    for s in rest:
-        p, steps = s, 0
-        while p != z:
-            p = t[p][s]
-            steps += 1
-            if steps > M.n:
-                return NilReport(
-                    False, f"{M.name_of(s)} is not nilpotent",
-                    None, (), (), (), None)
+    s = first_non_nilpotent(M, rest)
+    if s is not None:
+        return NilReport(False, f"{M.name_of(s)} is not nilpotent",
+                         None, (), (), (), None)
     # least k with all k-fold products of non-identity elements zero
     current = set(rest)
     k = 1

@@ -527,12 +527,6 @@ def det_poly_matrix(matrix, cap=DEFAULT_CAP):
     return Poly(order, terms)
 
 
-def poly_identity_test(p, q, seed=0):
-    """Decide p == q by comparing canonical forms; the exact verification
-    record."""
-    return {"equal": p == q, "mode": "exact", "rounds": 0, "seed": seed}
-
-
 def parse_poly(text, order=1):
     """Parse the canonical Poly string form."""
     s = text.strip().replace(" ", "")

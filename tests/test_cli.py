@@ -14,12 +14,13 @@ import sys
 import pytest
 
 import frobdet
-from frobdet import cli, determinant
+from frobdet import cli, determinant, poly
 from frobdet.cli import form_poly, run
 from frobdet.cyclotomic import parse_cyc
 from frobdet.groupoids import inverse_determinant
 from frobdet.poly import TERM_BUDGET, Poly
-from frobdet.semigroups import adjoin_zero, build_family, emit_sgp
+from frobdet.semigroups import (adjoin_zero, build_family, emit_sgp,
+                                group_of_units)
 
 from corpus import zmult
 
@@ -137,6 +138,99 @@ def test_raised_cap_stops_at_the_term_budget():
                      f"dimension 18 exceeds the budget of {TERM_BUDGET} "
                      "terms"]
     assert proc.stdout.startswith("status: frobenius\n")
+
+
+def test_a_check_error_is_not_a_skipped_route(monkeypatch):
+    # the Clifford answer's exact check runs past the term budget: the
+    # error ends the request, and the plain determinant is expanded once
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return paratrophic_determinant(*args, **kwargs)
+
+    paratrophic_determinant = determinant.paratrophic_determinant
+    monkeypatch.setattr(determinant, "paratrophic_determinant", counting)
+    monkeypatch.setattr(poly, "TERM_BUDGET", 40)
+    sgp = emit_sgp(adjoin_zero(build_family("zmod_add", 5)))
+    code, out, err = run_cli(["factor", "-"], stdin=sgp)
+    assert (code, out) == (1, "")
+    assert err == ("error: symbolic determinant of dimension 6 exceeds the "
+                   "budget of 40 terms\n")
+    assert len(calls) == 1
+
+
+FACTORIZERS = ["factor_semilattice", "factor_group_determinant",
+               "factor_clifford", "inverse_determinant", "factor_nil_adjoined",
+               "factor_local", "factor_commutative", "frobenius_test"]
+
+
+def factorizers_called(monkeypatch, argv, S):
+    """Run factor on S and return (exit code, stdout, stderr, the
+    factorizers it called in order, by their names in the cli module)."""
+    called = []
+
+    def recording(name, fn):
+        def wrapped(*args, **kwargs):
+            called.append(name)
+            return fn(*args, **kwargs)
+        return wrapped
+
+    for name in FACTORIZERS:
+        monkeypatch.setattr(cli, name, recording(name, getattr(cli, name)))
+    return (*run_cli(["factor", "-", *argv], stdin=emit_sgp(S)), called)
+
+
+@pytest.mark.parametrize("S, argv, route", [
+    (build_family("gcd", 4), [], ["factor_semilattice"]),
+    (build_family("zmod_add", 4), [], ["factor_group_determinant"]),
+    (adjoin_zero(build_family("zmod_add", 3)), [], ["factor_clifford"]),
+    (build_family("rook", 2), [], ["inverse_determinant"]),
+    (build_family("cyclic_nilpotent", 3), [],
+     ["factor_clifford", "factor_nil_adjoined"]),
+    (zmult(8), [],
+     ["factor_clifford", "factor_nil_adjoined", "factor_commutative"]),
+    (build_family("left_zero", 3), [],
+     ["inverse_determinant", "factor_nil_adjoined", "frobenius_test"]),
+    (build_family("cyclic_nilpotent", 3), ["--contracted"],
+     ["factor_nil_adjoined"]),
+], ids=["gcd 4", "zmod_add 4", "adjoin_zero zmod_add 3", "rook 2",
+        "cyclic_nilpotent 3", "zmult 8", "left_zero 3",
+        "cyclic_nilpotent 3 contracted"])
+def test_factor_tries_the_routes_in_order(monkeypatch, S, argv, route):
+    code, _, err, called = factorizers_called(monkeypatch, argv, S)
+    assert code == 0, err
+    assert called == route
+
+
+def test_skip_notes_carry_the_clifford_reason(monkeypatch):
+    S3, _ = group_of_units(build_family("full_transform", 3))
+    code, out, _, called = factorizers_called(monkeypatch, ["--cap", "5"],
+                                              adjoin_zero(S3))
+    assert code == 0
+    assert called == ["factor_clifford", "inverse_determinant",
+                      "factor_nil_adjoined", "frobenius_test"]
+    notes = [line for line in out.splitlines() if line.startswith("note: ")]
+    assert notes == [
+        "note: inverse route skipped: group at 012 is nonabelian and no "
+        "representations were supplied",
+        "note: no factorization theorem applies; staged vanishing test only"]
+
+
+def test_flagged_requests_without_a_factorizer(monkeypatch, tmp_path):
+    code, out, err, called = factorizers_called(
+        monkeypatch, ["--contracted"], build_family("left_zero", 3))
+    assert (code, out) == (1, "")
+    assert err == ("error: no contracted factorizer applies: multiplication "
+                   "is not commutative\n")
+    assert called == ["factor_nil_adjoined", "factor_local"]
+    cocycle = tmp_path / "c.coc"
+    cocycle.write_text("order 2\n")
+    code, out, err, called = factorizers_called(
+        monkeypatch, ["--twist", str(cocycle)], build_family("zmod_add", 3))
+    assert (code, out, err) == (1, "", "error: no zero element\n")
+    assert called == ["factor_nil_adjoined"]
+
 
 def test_each_factor_request_checks_its_answer_once(monkeypatch, tmp_path):
     outcomes, dims = [], []

@@ -5,6 +5,7 @@ from collections import Counter
 import pytest
 
 import frobdet
+from frobdet import errors
 
 PACKAGE = pathlib.Path(frobdet.__file__).resolve().parent
 
@@ -113,3 +114,48 @@ def test_one_randomized_path():
     assert "def random_points(" in sources["factorization.py"]
     for name in ("int_det", "cyc_det"):
         assert calls_of(sources["factorization.py"], name) == []
+
+
+def handled_errors(source):
+    """(innermost enclosing function, exception name) for each name in an
+    except clause of the source, in source order."""
+    out = []
+
+    def visit(node, function):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ExceptHandler) and child.type is not None:
+                types = child.type.elts if isinstance(child.type, ast.Tuple) \
+                    else [child.type]
+                out.extend((function, getattr(t, "id", None) or t.attr)
+                           for t in types)
+            visit(child, child.name if isinstance(child, ast.FunctionDef)
+                  else function)
+
+    visit(ast.parse(source), None)
+    return out
+
+
+def test_finds_handled_errors():
+    source = ("def f():\n    try:\n        g()\n"
+              "    except (A, m.B):\n        pass\n"
+              "    def h():\n        try:\n            pass\n"
+              "        except C as e:\n            pass\n"
+              "try:\n    pass\nexcept D:\n    pass\n")
+    assert handled_errors(source) == [("f", "A"), ("f", "B"), ("h", "C"),
+                                      (None, "D")]
+
+
+def test_the_cli_catches_only_skipped_routes():
+    # a check error can never be read as a skipped route: the only frobdet
+    # errors cli.py catches are NotApplicable, around the factorizer call
+    # of the route loop, and whatever reaches run()
+    source = (PACKAGE / "cli.py").read_text()
+    caught = [(function, name) for function, name in handled_errors(source)
+              if issubclass(getattr(errors, name, Exception),
+                            errors.FrobdetError)]
+    assert caught == [("cmd_factor", "NotApplicable"), ("run", "FrobdetError")]
+    loop, = [node for node in ast.walk(ast.parse(source))
+             if isinstance(node, ast.Try)
+             and any(getattr(h.type, "id", None) == "NotApplicable"
+                     for h in node.handlers)]
+    assert [ast.unparse(s) for s in loop.body] == ["answer = factorize(S)"]

@@ -13,8 +13,8 @@ from frobdet.errors import (DimensionCap, MissingVariable, NotUnitriangular,
                             ParseError, SingularP)
 from frobdet.linalg import (cyc_det, cyc_matrix_inverse, det_mod, int_det,
                             unitriangular_inverse)
-from frobdet.poly import (Poly, det_poly_matrix, mono_cmp, parse_poly,
-                          poly_identity_test)
+from frobdet.factorization import Factorization, verify_factorization
+from frobdet.poly import Poly, det_poly_matrix, mono_cmp, parse_poly
 from frobdet.semigroups import build_family
 
 
@@ -404,12 +404,14 @@ def test_powers_match_repeated_products(order, monkeypatch):
 
 
 def test_identity_test_modes():
-    # the randomized comparison is verify_factorization's (test_modular.py)
-    p = (x(0) + x(1)) ** 2
+    # the exact record of verify_factorization; its randomized comparison
+    # is in test_modular.py
+    F = Factorization.of(1, [(x(0) + x(1), 2)], "test")
     q = x(0) ** 2 + 2 * x(0) * x(1) + x(1) ** 2
-    r = poly_identity_test(p, q)
+    r = verify_factorization(q, F)
     assert r == {"equal": True, "mode": "exact", "rounds": 0, "seed": 0}
-    assert not poly_identity_test(p, q + 1, seed=3)["equal"]
+    r = verify_factorization(q + 1, F, seed=3)
+    assert r == {"equal": False, "mode": "exact", "rounds": 0, "seed": 3}
 
 
 def test_int_det():
