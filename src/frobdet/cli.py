@@ -297,28 +297,27 @@ def cmd_groupoid(args):
 
 def factor_routes(S, args, cocycle):
     """The routes of a factor request, in the order cmd_factor tries them:
-    (guard, factorizer, mode). The factorizer runs when the guard, a bool
-    or a function of the skips so far, holds. mode names the determinant
-    the answer is checked against; None marks the general inverse route,
-    which checks its expanded theta itself. Plain factor lifts an answer
+    (guard, factorizer). The factorizer runs when the guard, a bool or a
+    function of the skips so far, holds. Each answer is a factorization of
+    the request's own determinant, which cmd_factor checks, except the
+    general inverse route's (theta, record): that route checks its
+    expanded theta itself. Plain factor lifts the nilpotent route's answer
     for the contracted determinant to the plain one."""
     if cocycle is not None:
-        return [(True, lambda S: factor_nil_adjoined(S, cocycle), "twisted")]
+        return [(True, lambda S: factor_nil_adjoined(S, cocycle))]
     if args.contracted:
-        return [(True, factor_nil_adjoined, "contracted"),
-                (True, factor_local, "contracted")]
+        return [(True, factor_nil_adjoined), (True, factor_local)]
     cap = effective_cap(args, S.n)
     rep = analyze(S)
     return [
-        (rep.is_semilattice, factor_semilattice, "plain"),
-        (rep.is_group and rep.is_commutative, factor_group_determinant,
-         "plain"),
-        (rep.central_idempotents, factor_clifford, "plain"),
+        (rep.is_semilattice, factor_semilattice),
+        (rep.is_group and rep.is_commutative, factor_group_determinant),
+        (rep.central_idempotents, factor_clifford),
         # skipped when Clifford's theorem has found S not inverse
         (lambda skips: not any(isinstance(e, NotInverse) for e in skips),
-         lambda S: inverse_determinant(S, cap=cap), None),
-        (True, factor_nil_adjoined, "contracted"),
-        (rep.is_commutative, factor_commutative, "plain"),
+         lambda S: inverse_determinant(S, cap=cap)),
+        (True, lambda S: lift_zero(factor_nil_adjoined(S), S.zero)),
+        (rep.is_commutative, factor_commutative),
     ]
 
 
@@ -337,7 +336,7 @@ def vanishing_result(S, args, skips):
     return data, frobenius_lines(r, S, extra_notes=notes)
 
 
-def checked_factor(S, F, args, mode="plain", cocycle=None):
+def checked_factor(S, F, args, mode, cocycle):
     """F with the record of its one check against the plain, contracted
     or twisted determinant of S, under the cap and seed of the request."""
     return verify_against(S, F, mode, cocycle, cap=effective_cap(args, S.n),
@@ -375,8 +374,10 @@ def cmd_factor(args):
     S = load_semigroup(args.input)
     cocycle = (None if args.twist is None
                else parse_cocycle(read_input(args.twist), S))
+    mode = ("twisted" if cocycle is not None
+            else "contracted" if args.contracted else "plain")
     skips = []
-    for applies, factorize, mode in factor_routes(S, args, cocycle):
+    for applies, factorize in factor_routes(S, args, cocycle):
         if callable(applies):
             applies = applies(skips)
         if not applies:
@@ -388,13 +389,11 @@ def cmd_factor(args):
             # no frame of this request alive in a reference cycle
             skips.append(e.with_traceback(None))
             continue
-        if mode is None:
-            data, lines = inverse_result(S, *answer, args)
-        else:
+        if isinstance(answer, Factorization):
             F = checked_factor(S, answer, args, mode, cocycle)
-            if mode == "contracted" and not args.contracted:
-                F = lift_zero(F, S.zero)
             data, lines = factorization_data(F, S), factorization_lines(F, S)
+        else:
+            data, lines = inverse_result(S, *answer, args)
         break
     else:
         if cocycle is not None:

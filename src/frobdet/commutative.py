@@ -120,6 +120,8 @@ def _local_shape(M):
     if M.zero is None:
         raise NotLocalShape("no zero element")
     G, unit_ids = group_of_units(M)
+    if len(unit_ids) == M.n:
+        raise NotLocalShape("no nonunit")
     unit_set = set(unit_ids)
     s = first_non_nilpotent(M, [s for s in range(M.n) if s not in unit_set])
     if s is not None:

@@ -18,7 +18,6 @@ from .errors import OutOfRange, ParseError
 
 MAX_ORDER = 10000
 
-_ZERO = Fraction(0)
 _ONE = Fraction(1)
 
 
@@ -243,24 +242,25 @@ class CycNum:
     __rmul__ = __mul__
 
     def inverse(self):
+        """1/x = prod of sigma_k(x) over k in (Z/N)^x, k != 1, divided by
+        the norm N(x) = x * that product, which is rational. On the
+        integer numerators a of x = a/d this is d * prod sigma_k(a) / N(a)."""
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero cyclotomic number")
+        n, d = self.order, self.den
         if self.is_rational():
-            return CycNum.from_rational(Fraction(self.den, self.nums[0]),
-                                        self.order)
-        # extended Euclid against Phi_N in Q[z]; Phi_N is irreducible so the
-        # last nonzero remainder is a constant
-        r0 = [Fraction(c) for c in cyclotomic_polynomial(self.order)]
-        r1 = _trim(list(self.coords))
-        s0, s1 = [_ZERO], [_ONE]
-        while len(r1) > 1:
-            q, r = _poly_divmod_frac(r0, r1)
-            r = _trim(r)
-            s = _poly_sub_frac(s0, _poly_mul_frac(q, s1))
-            r0, s0, r1, s1 = r1, s1, r, s
-        c = r1[0]
-        inv = [x / c for x in s1]
-        return CycNum(self.order, _reduce(inv, self.order))
+            nums, norm = [d] + [0] * (len(self.nums) - 1), self.nums[0]
+        else:
+            a = CycNum.from_numerators(n, self.nums, 1)
+            prod = CycNum.one(n)
+            for k in range(2, n):
+                if gcd(k, n) == 1:
+                    prod = prod * CycNum.from_numerators(
+                        n, _combine(a.nums, n, k), 1)
+            nums, norm = [x * d for x in prod.nums], (a * prod).nums[0]
+        if norm < 0:
+            nums, norm = [-x for x in nums], -norm
+        return CycNum.from_numerators(n, nums, norm)
 
     def __truediv__(self, other):
         other = _coerce(other, self.order)
@@ -356,44 +356,6 @@ def _coerce(x, order):
     if isinstance(x, (int, Fraction)):
         return CycNum.from_rational(x, order)
     raise TypeError(f"cannot coerce {type(x).__name__} to CycNum")
-
-
-def _trim(p):
-    while len(p) > 1 and p[-1] == 0:
-        p.pop()
-    return p
-
-
-def _poly_divmod_frac(num, den):
-    num = list(num)
-    dd = len(den) - 1
-    lead = den[-1]
-    q = [_ZERO] * max(0, len(num) - dd)
-    for k in range(len(q) - 1, -1, -1):
-        c = num[k + dd] / lead
-        q[k] = c
-        if c:
-            for j, y in enumerate(den):
-                num[k + j] -= c * y
-    return q, num[:dd] if dd else [_ZERO]
-
-
-def _poly_mul_frac(a, b):
-    if not a or not b:
-        return [_ZERO]
-    out = [_ZERO] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-    return out
-
-
-def _poly_sub_frac(a, b):
-    n = max(len(a), len(b))
-    a = list(a) + [_ZERO] * (n - len(a))
-    b = list(b) + [_ZERO] * (n - len(b))
-    return [x - y for x, y in zip(a, b)]
 
 
 _RAT_CHARS = set("0123456789/")

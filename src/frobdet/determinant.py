@@ -84,7 +84,19 @@ def verify_against(S, F, mode="plain", cocycle=None, cap=DEFAULT_CAP,
     """Check F against the plain, contracted or twisted determinant of S
     and attach the record. The check is exact when the matrix dimension is
     within cap and randomized otherwise; a mismatch raises
-    VerificationFailed."""
+    VerificationFailed.
+
+    A plain F for S with a zero z is checked on the contracted determinant
+    instead, when that check is exact and F = x_z * G(x_s - x_z) for some
+    G free of x_z: theta = x_z * thetac(x_s - x_z) holds for every
+    semigroup with a zero, so F = theta exactly when G = thetac, and F
+    gets the record of that check."""
+    if mode == "plain" and S.zero is not None and 1 <= S.n - 1 <= cap:
+        G = _unlift_zero(F, S.zero)
+        if G is not None:
+            thetac = paratrophic_determinant(S, "contracted", cap=cap)
+            G = checked(thetac, G, mode="exact", seed=seed)
+            return F.with_verification(G.verification)
     dim = S.n if mode == "plain" else S.n - 1
     if dim <= cap:
         return checked(paratrophic_determinant(S, mode, cocycle, cap), F,
@@ -94,6 +106,27 @@ def verify_against(S, F, mode="plain", cocycle=None, cap=DEFAULT_CAP,
         raise VerificationFailed(f"{F.provenance} factorization failed a "
                                  "randomized determinant check")
     return F.with_verification(v)
+
+
+def _unlift_zero(F, z):
+    """G with F = x_z * G(x_s - x_z), G free of x_z, or None when F has no
+    such shape. A zero F is its own G. G is only checked, never printed,
+    so it is left unnormalized."""
+    if F.status == "zero":
+        return F
+    xz = Poly.variable(z)
+    if sum(m for f, m in F.factors if f == xz) != 1:
+        return None
+    factors = []
+    for f, m in F.factors:
+        if f == xz:
+            continue
+        g = f.substitute({v: Poly.variable(v) + xz
+                          for v in f.variables() if v != z})
+        if z in g.variables():
+            return None
+        factors.append((g, m))
+    return replace(F, factors=tuple(factors))
 
 
 def backnforth_check(S, cap=DEFAULT_CAP):

@@ -210,9 +210,8 @@ def verify_factorization(reference, F, mode="exact", seed=0, rounds=5):
 def lift_zero(F, z):
     """Turn a factorization of the contracted determinant into one of the
     plain determinant of a semigroup whose zero has id z: multiply by x_z
-    and shift every variable by -x_z. The verification record of F is
-    carried over: theta = x_z * thetac(x_s - x_z) holds for every
-    semigroup with a zero, so a check of F is a check of the lift."""
+    and shift every variable by -x_z, since theta = x_z * thetac(x_s - x_z)
+    holds for every semigroup with a zero. The lift is unchecked."""
     if F.status == "zero":
         return replace(F, notes=F.notes + ("plain determinant vanishes "
                                            "with the contracted one",))
@@ -223,10 +222,9 @@ def lift_zero(F, z):
                for v in f.variables()}
         factors.append((f.substitute(sub), m))
     factors.append((xz, 1))
-    lifted = Factorization.of(F.constant, factors, F.provenance,
-                              F.notes + ("lifted from the contracted "
-                                         "determinant",))
-    return lifted.with_verification(F.verification)
+    return Factorization.of(F.constant, factors, F.provenance,
+                            F.notes + ("lifted from the contracted "
+                                       "determinant",))
 
 
 def random_table_check(S, F, mode="plain", cocycle=None, seed=0, rounds=5):

@@ -142,7 +142,8 @@ def test_raised_cap_stops_at_the_term_budget():
 
 def test_a_check_error_is_not_a_skipped_route(monkeypatch):
     # the Clifford answer's exact check runs past the term budget: the
-    # error ends the request, and the plain determinant is expanded once
+    # error ends the request, and the determinant is expanded once, at
+    # dimension n - 1 since S has a zero
     calls = []
 
     def counting(*args, **kwargs):
@@ -155,9 +156,34 @@ def test_a_check_error_is_not_a_skipped_route(monkeypatch):
     sgp = emit_sgp(adjoin_zero(build_family("zmod_add", 5)))
     code, out, err = run_cli(["factor", "-"], stdin=sgp)
     assert (code, out) == (1, "")
-    assert err == ("error: symbolic determinant of dimension 6 exceeds the "
+    assert err == ("error: symbolic determinant of dimension 5 exceeds the "
                    "budget of 40 terms\n")
     assert len(calls) == 1
+
+
+def test_a_plain_answer_with_a_zero_is_checked_on_the_contracted_theta(
+        monkeypatch):
+    # theta of adjoin_zero(zmod_add 5) has 446 terms, thetac 84
+    monkeypatch.setattr(poly, "TERM_BUDGET", 200)
+    sgp = emit_sgp(adjoin_zero(build_family("zmod_add", 5)))
+    code, out, err = run_cli(["factor", "-"], stdin=sgp)
+    assert (code, err) == (0, "")
+    assert "verification: exact" in out.splitlines()
+
+
+def test_a_zero_at_the_cap_is_checked_exactly():
+    # gcd 6 has 6 elements and its zero leaves 5 = cap
+    sgp = emit_sgp(build_family("gcd", 6))
+    code, out, err = run_cli(["factor", "-", "--cap", "5"], stdin=sgp)
+    assert (code, err) == (0, "")
+    assert "verification: exact" in out.splitlines()
+
+
+def test_the_trivial_monoid_has_no_contracted_factorizer():
+    code, out, err = run_cli(["factor", "-", "--contracted"],
+                             stdin="n 1\ntable\n1\n")
+    assert (code, out) == (1, "")
+    assert err == "error: no contracted factorizer applies: no nonunit\n"
 
 
 FACTORIZERS = ["factor_semilattice", "factor_group_determinant",
@@ -613,10 +639,11 @@ def test_reused_parser_leaks_no_state(tmp_path):
     (tmp_path / "g.det").write_text(det_out)
     (tmp_path / "g.json").write_text(fact_out)
     verify = ["verify", str(tmp_path / "g.det"), str(tmp_path / "g.json")]
-    # --cap 3 sits below the table's size, so only --exact makes the
-    # check exact and a leaked --exact would show in the second call
-    calls = [(["factor", "-", "--exact", "--cap", "3", "--json"], gcd4),
-             (["factor", "-", "--cap", "3", "--json"], gcd4),
+    # --cap 2 sits below the table's size less its zero, so only --exact
+    # makes the check exact and a leaked --exact would show in the second
+    # call
+    calls = [(["factor", "-", "--exact", "--cap", "2", "--json"], gcd4),
+             (["factor", "-", "--cap", "2", "--json"], gcd4),
              (["det", WENGER, "--contracted"], None),
              (["det", WENGER], None),
              (["factor", "-", "--exact", "--randomized"], gcd4),

@@ -105,6 +105,15 @@ def test_inverse_random():
             assert v / v == CycNum.one(n)
 
 
+def test_inverse_of_a_root_of_unity_is_its_conjugate():
+    for n in (3, 4, 5, 8, 12, 16, 32, 105):
+        for k in (1, n - 1, n // 2 + 1):
+            z = CycNum.root_of_unity(n, k)
+            assert z.inverse() == CycNum.root_of_unity(n, -k) == z.conj()
+        half = CycNum.root_of_unity(n) * Fraction(-1, 2)
+        assert half.inverse() == CycNum.root_of_unity(n, -1) * -2
+
+
 def test_conj_is_involution_and_norm():
     rng = random.Random(13)
     for n in (3, 4, 5, 7, 8, 9, 12):
@@ -330,17 +339,21 @@ def test_integer_and_fraction_coordinates_give_one_value():
 
 def test_arithmetic_builds_no_fraction(monkeypatch):
     # values are integer numerators over one denominator: sums, products,
-    # embedding, conjugation, comparison and printing need no Fraction
+    # inverses, embedding, conjugation, comparison and printing need no
+    # Fraction
     rng = random.Random(31)
     a, b = random_value(rng, 12), random_value(rng, 12)
     c = random_value(rng, 4)
+    r = CycNum.from_rational(-3, 12)
     expected = [a * b, a + b, a - b, a * c, a + c, a.embed(24), a.conj(),
-                a * 3, a == b, a == c, a.is_zero(), a.is_one(), a.to_str()]
+                a * 3, a == b, a == c, a.is_zero(), a.is_one(), a.to_str(),
+                a.inverse(), r.inverse()]
 
     def refuse(*args, **kwargs):
         raise AssertionError("Fraction built in cyclotomic arithmetic")
     monkeypatch.setattr(Fraction, "__new__", refuse)
     got = [a * b, a + b, a - b, a * c, a + c, a.embed(24), a.conj(),
-           a * 3, a == b, a == c, a.is_zero(), a.is_one(), a.to_str()]
+           a * 3, a == b, a == c, a.is_zero(), a.is_one(), a.to_str(),
+           a.inverse(), r.inverse()]
     monkeypatch.undo()
     assert got == expected

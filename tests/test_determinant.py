@@ -4,13 +4,16 @@ import pytest
 
 from frobdet.commutative import factor_commutative, factor_local
 from frobdet.cyclotomic import CycNum
+from frobdet import determinant
 from frobdet.determinant import (RepMatrix, backnforth_check, cayley_matrix,
                                  factor_group_determinant, frobenius_test,
                                  paratrophic_determinant, transport_basis,
                                  verify_against)
-from frobdet.errors import (NoZero, NotAbelianWithoutReps, NotAGroup,
-                            NotMultiplicative, RepDimensionMismatch, SingularP)
-from frobdet.factorization import equivalent
+from frobdet.errors import (FrobdetError, NoZero, NotAbelianWithoutReps,
+                            NotAGroup, NotMultiplicative, RepDimensionMismatch,
+                            SingularP, VerificationFailed)
+from frobdet.factorization import (Factorization, checked, equivalent,
+                                   lift_zero)
 from frobdet.groupoids import factor_clifford
 from frobdet.nilpotent import factor_nil_adjoined, parse_cocycle
 from frobdet.poly import DEFAULT_CAP, Poly, det_poly_matrix, parse_poly
@@ -290,3 +293,100 @@ def test_each_route_checks_exactly_and_at_random_points(route):
     assert exact.verification["mode"] == "exact"
     assert randomized.verification["equal"] and exact.verification["equal"]
     assert equivalent(randomized, exact)
+
+
+def expanded_modes(monkeypatch):
+    """The modes of the determinants that determinant.py expands, in order."""
+    modes = []
+
+    def recording(S, mode="plain", *args, **kwargs):
+        modes.append(mode)
+        return paratrophic_determinant(S, mode, *args, **kwargs)
+    monkeypatch.setattr(determinant, "paratrophic_determinant", recording)
+    return modes
+
+
+def plain_answer(S):
+    """An unchecked factorization of the plain determinant of S from the
+    first of these routes that applies."""
+    for route in (factor_semilattice, factor_clifford,
+                  lambda S: lift_zero(factor_nil_adjoined(S), S.zero),
+                  factor_commutative):
+        try:
+            return route(S)
+        except FrobdetError:
+            continue
+    return None
+
+
+def test_a_plain_answer_with_a_zero_is_checked_at_n_minus_1(
+        monkeypatch, commutative_tables):
+    # theta = x_z * thetac(x_s - x_z): the record of the contracted check
+    # is the record of the plain one, and only thetac is expanded
+    tables = [S for n in (2, 3, 4) for S in commutative_tables[n]]
+    tables += [build_family("gcd", 8), zmult(6), zmult(8), wenger_monoid(),
+               adjoin_zero(build_family("zmod_add", 5)),
+               build_family("cyclic_nilpotent", 8),
+               build_family("three_nil", "10,01")]
+    modes = expanded_modes(monkeypatch)
+    count = 0
+    for S in tables:
+        F = plain_answer(S) if S.zero is not None else None
+        if F is None:
+            continue
+        count += 1
+        modes.clear()
+        translated = verify_against(S, F).verification
+        assert modes == ["contracted"]
+        assert translated == checked(paratrophic_determinant(S), F).verification
+        thetac = paratrophic_determinant(S, "contracted")
+        Fc = (Factorization.zero("thetac") if thetac.is_zero()
+              else Factorization.of(1, [(thetac, 1)], "thetac"))
+        assert verify_against(S, lift_zero(Fc, S.zero)).verification == \
+            verify_against(S, Fc, "contracted").verification
+    assert count > 500
+
+
+def _with_factors(F, factors):
+    return Factorization(F.status, F.constant, tuple(factors), F.provenance)
+
+
+def test_a_plain_answer_of_another_shape_is_checked_on_theta(monkeypatch):
+    S = build_family("gcd", 4)
+    F = plain_answer(S)
+    xz = Poly.variable(S.zero)
+    assert (xz, 1) in F.factors
+    others = [(f, m) for f, m in F.factors if f != xz]
+    theta = paratrophic_determinant(S)
+    wrong = {
+        # x_z with multiplicity 2
+        "x_z twice": _with_factors(F, others[1:] + [(xz, 2)]),
+        # a factor that keeps x_z after x_s -> x_s + x_z
+        "x_z kept": _with_factors(F, [(others[0][0] + xz, others[0][1])]
+                                  + others[1:] + [(xz, 1)]),
+    }
+    modes = expanded_modes(monkeypatch)
+    for name, G in wrong.items():
+        modes.clear()
+        with pytest.raises(VerificationFailed):
+            verify_against(S, G)
+        assert modes == ["plain"], name
+    # theta as one factor: no factor x_z, so theta itself is expanded
+    modes.clear()
+    one = Factorization.of(1, [(theta, 1)], "theta")
+    assert verify_against(S, one).verification["equal"]
+    assert modes == ["plain"]
+
+
+def test_randomized_and_tiny_checks_stay_plain(monkeypatch):
+    # n - 1 = 0, or n - 1 above the cap: today's check on theta
+    for n, cap in ((1, DEFAULT_CAP), (1, 0), (2, 0)):
+        S = build_family("gcd", n)
+        F = plain_answer(S)
+        wrong = Factorization.of(2, F.factors, F.provenance)
+        modes = expanded_modes(monkeypatch)
+        record = verify_against(S, F, cap=cap).verification
+        assert record["mode"] == ("exact" if cap else "randomized")
+        assert modes == (["plain"] if cap else [])
+        with pytest.raises(VerificationFailed):
+            verify_against(S, wrong, cap=cap)
