@@ -16,8 +16,7 @@ from .commutative import factor_commutative, factor_local
 from .cyclotomic import parse_cyc
 from .determinant import factor_group_determinant, frobenius_test, \
     paratrophic_determinant, verify_against
-from .errors import (DimensionCap, FrobdetError, FormatError, NotApplicable,
-                     NotInverse)
+from .errors import DimensionCap, FrobdetError, FormatError, NotApplicable
 from .factorization import verify_factorization, Factorization, lift_zero
 from .groupoids import factor_clifford, groupoid_structure, inverse_determinant
 from .nilpotent import factor_nil_adjoined, parse_cocycle
@@ -297,12 +296,13 @@ def cmd_groupoid(args):
 
 def factor_routes(S, args, cocycle):
     """The routes of a factor request, in the order cmd_factor tries them:
-    (guard, factorizer). The factorizer runs when the guard, a bool or a
-    function of the skips so far, holds. Each answer is a factorization of
-    the request's own determinant, which cmd_factor checks, except the
-    general inverse route's (theta, record): that route checks its
-    expanded theta itself. Plain factor lifts the nilpotent route's answer
-    for the contracted determinant to the plain one."""
+    (guard, factorizer). Each guard is a bool read from the structure of
+    S; the factorizer runs when it holds. Each answer is a factorization
+    of the request's own determinant, which cmd_factor checks, except the
+    general inverse route's (theta, record): that route rejects a
+    non-inverse S itself, before any expansion, and checks its expanded
+    theta itself. Plain factor lifts the nilpotent route's answer for the
+    contracted determinant to the plain one."""
     if cocycle is not None:
         return [(True, lambda S: factor_nil_adjoined(S, cocycle))]
     if args.contracted:
@@ -313,9 +313,7 @@ def factor_routes(S, args, cocycle):
         (rep.is_semilattice, factor_semilattice),
         (rep.is_group and rep.is_commutative, factor_group_determinant),
         (rep.central_idempotents, factor_clifford),
-        # skipped when Clifford's theorem has found S not inverse
-        (lambda skips: not any(isinstance(e, NotInverse) for e in skips),
-         lambda S: inverse_determinant(S, cap=cap)),
+        (True, lambda S: inverse_determinant(S, cap=cap)),
         (True, lambda S: lift_zero(factor_nil_adjoined(S), S.zero)),
         (rep.is_commutative, factor_commutative),
     ]
@@ -368,9 +366,10 @@ def inverse_result(S, theta, record, args):
 
 
 def cmd_factor(args):
-    """Factor with the first route that applies and check its answer
-    once. Only the factorizer call is inside the try: an error from a
-    check always propagates."""
+    """Factor with the first route whose guard holds and whose
+    factorizer does not raise NotApplicable, and check its answer once.
+    Only the factorizer call is inside the try: an error from a check
+    always propagates."""
     S = load_semigroup(args.input)
     cocycle = (None if args.twist is None
                else parse_cocycle(read_input(args.twist), S))
@@ -378,8 +377,6 @@ def cmd_factor(args):
             else "contracted" if args.contracted else "plain")
     skips = []
     for applies, factorize in factor_routes(S, args, cocycle):
-        if callable(applies):
-            applies = applies(skips)
         if not applies:
             continue
         try:

@@ -26,7 +26,8 @@ from .nilpotent import (Cocycle, analyze_nilpotent, annihilator_matrix,
                         first_non_nilpotent)
 from .poly import DEFAULT_CAP, LinForm, Poly
 from .posets import mobius_forms, natural_order, splus_map
-from .semigroups import analyze, group_of_units, validate_table
+from .semigroups import (analyze, group_of_units, validate_table,
+                         _fresh_label)
 
 
 @dataclass(frozen=True)
@@ -81,11 +82,8 @@ def splus_decompose(S):
         table = [[pos.get(t[a][b], z) for b in members] + [z]
                  for a in members]
         table.append([z] * (z + 1))
-        names = [S.name_of(s) for s in members]
-        label = "z"
-        while label in names:
-            label += "z"
-        local = validate_table(table, tuple(names) + (label,))
+        names = tuple(S.name_of(s) for s in members)
+        local = validate_table(table, names + (_fresh_label(names, "z"),))
         assert local.identity == pos[e] and local.zero == z
         _local_shape(local)
         local_monoids[e] = (local, tuple(members) + (None,))
@@ -210,11 +208,9 @@ def local_spectrum(M):
             row.append(zbar)
             qtable.append(row)
         qtable.append([zbar] * (zbar + 1))
-        qnames = [M.name_of(reps[i]) for i in J]
-        label = "z"
-        while label in qnames:
-            label += "z"
-        quotient = validate_table(qtable, tuple(qnames) + (label,))
+        qnames = tuple(M.name_of(reps[i]) for i in J)
+        quotient = validate_table(qtable,
+                                  qnames + (_fresh_label(qnames, "z"),))
         assert quotient.identity == 0 and quotient.zero == zbar
         assert quotient.n == len(J) + 1
         values = {}

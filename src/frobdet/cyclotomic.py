@@ -126,6 +126,19 @@ def _combine(nums, order, step):
     return out
 
 
+def _repeated_squaring(base, k):
+    """base ** k for a CycNum or Poly base and k >= 1. The product starts
+    from the base itself, so base ** 1 multiplies nothing."""
+    out = None
+    while True:
+        if k & 1:
+            out = base if out is None else out * base
+        k >>= 1
+        if not k:
+            return out
+        base = base * base
+
+
 class CycNum:
     """An element of Q(zeta_order): the integer numerators `nums` of its
     power-basis coordinates over one positive denominator `den`, with
@@ -273,15 +286,7 @@ class CycNum:
     def __pow__(self, k):
         if k < 0:
             return self.inverse() ** (-k)
-        out = CycNum.one(self.order)
-        base = self
-        while True:
-            if k & 1:
-                out = out * base
-            k >>= 1
-            if not k:
-                return out
-            base = base * base
+        return _repeated_squaring(self, k) if k else CycNum.one(self.order)
 
     def conj(self):
         """Complex conjugation, zeta |-> zeta^(N-1)."""

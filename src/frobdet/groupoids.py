@@ -16,22 +16,7 @@ from .errors import (DimensionCap, NonabelianWithoutReps, NotApplicable,
 from .factorization import Factorization
 from .poly import DEFAULT_CAP, Poly, det_poly_matrix
 from .posets import mobius_forms
-from .semigroups import analyze, maximal_subgroup
-
-
-def star_map(S):
-    """The inverse map s -> s*; raises NotInverse unless each element has
-    exactly one weak inverse."""
-    n, t = S.n, S.table
-    star = []
-    for s in range(n):
-        weak = [u for u in range(n)
-                if t[t[s][u]][s] == s and t[t[u][s]][u] == u]
-        if len(weak) != 1:
-            raise NotInverse(
-                f"{S.name_of(s)} has {len(weak)} weak inverses, not 1")
-        star.append(weak[0])
-    return tuple(star)
+from .semigroups import analyze, maximal_subgroup, star_map
 
 
 def is_inverse(S):
@@ -177,11 +162,9 @@ def factor_clifford(S, reps_by_idempotent=None):
     """Factor the determinant of a Clifford semigroup (inverse with
     central idempotents): one group determinant per idempotent, in the
     Mobius variables."""
-    star_map(S)  # raises NotInverse when S is not inverse
-    rep = analyze(S)
-    if not rep.central_idempotents:
+    g = groupoid_of(S)  # raises NotInverse when S is not inverse
+    if not analyze(S).central_idempotents:
         raise NotClifford("idempotents are not central")
-    g = groupoid_of(S)
     for s in range(S.n):
         assert g.dom[s] == g.ran[s]  # forced by centrality
     sub = mobius_forms(S, "inverse")

@@ -17,10 +17,10 @@ the expansion, are reduced mod Phi_N once at the end.
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cmp_to_key
 from math import lcm
 
-from .cyclotomic import CycNum, _coerce, _combine, _phi, _rat_str, parse_cyc
+from .cyclotomic import (CycNum, _coerce, _combine, _phi, _rat_str,
+                         _repeated_squaring, parse_cyc)
 from .errors import DimensionCap, MissingVariable, ParseError
 
 DEFAULT_CAP = 12
@@ -61,32 +61,16 @@ def mono_deg(m):
     return sum(e for _, e in m)
 
 
+def _mono_key(m):
+    """Sort key of graded lex: higher total degree wins, then the higher
+    power of the least-index variable where two monomials differ."""
+    return mono_deg(m), tuple((-v, e) for v, e in m)
+
+
 def mono_cmp(a, b):
-    """Graded lex: higher total degree wins, then higher power of the
-    least-index variable where they differ."""
-    da, db = mono_deg(a), mono_deg(b)
-    if da != db:
-        return -1 if da < db else 1
-    i = j = 0
-    while i < len(a) and j < len(b):
-        va, ea = a[i]
-        vb, eb = b[j]
-        if va < vb:
-            return 1
-        if vb < va:
-            return -1
-        if ea != eb:
-            return 1 if ea > eb else -1
-        i += 1
-        j += 1
-    if i < len(a):
-        return 1
-    if j < len(b):
-        return -1
-    return 0
-
-
-_mono_key = cmp_to_key(mono_cmp)
+    """Graded lex comparison: -1, 0 or 1, as _mono_key orders a and b."""
+    ka, kb = _mono_key(a), _mono_key(b)
+    return (ka > kb) - (ka < kb)
 
 
 def mono_str(m):
@@ -214,15 +198,7 @@ class Poly:
     def __pow__(self, k):
         if k < 0:
             raise ValueError("negative power of a polynomial")
-        out = Poly.const(1, self.order)
-        base = self
-        while True:
-            if k & 1:
-                out = out * base
-            k >>= 1
-            if not k:
-                return out
-            base = base * base
+        return _repeated_squaring(self, k) if k else Poly.const(1, self.order)
 
     def total_degree(self):
         if not self.terms:
@@ -436,11 +412,21 @@ def det_poly_matrix(matrix, cap=DEFAULT_CAP):
         raise DimensionCap(f"symbolic determinant of dimension {n} exceeds cap {cap}")
     order = lcm(*(p.order for row in matrix for p in row))
     matrix = [[p.at_order(order) for p in row] for row in matrix]
-    variables = sorted({v for row in matrix for p in row
-                        for m in p.terms for v, _ in m})
+    variables, degree = set(), 0  # degree: sum of each row's top degree
+    for row in matrix:
+        top = 0
+        for p in row:
+            for m in p.terms:
+                d = 0
+                for v, e in m:
+                    variables.add(v)
+                    d += e
+                if d > top:
+                    top = d
+        degree += top
+    variables = sorted(variables)
     index = {v: i + 1 for i, v in enumerate(variables)}
-    bound = max(sum(max(p.total_degree() for p in row) for row in matrix),
-                n * (_phi(order) - 1), 1)
+    bound = max(degree, n * (_phi(order) - 1), 1)
     w = bound.bit_length()
     scale = 1
     rows = []

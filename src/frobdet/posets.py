@@ -11,11 +11,12 @@ from dataclasses import dataclass
 from math import gcd
 
 from .cyclotomic import CycNum
-from .errors import (ModeHypothesisFailed, NotAPartialOrder, NotSemilattice,
-                     VerificationFailed)
+from .errors import (ModeHypothesisFailed, NotAPartialOrder, NotInverse,
+                     NotSemilattice, VerificationFailed)
 from .factorization import Factorization
 from .linalg import int_det, unitriangular_inverse
 from .poly import LinForm
+from .semigroups import analyze, star_map
 
 
 @dataclass(frozen=True)
@@ -77,24 +78,23 @@ def natural_order(S, mode):
     idempotent identity on s; needs central idempotents and S.S = S.
     """
     n, t = S.n, S.table
-    idem = [e for e in range(n) if t[e][e] == e]
+    rep = analyze(S)
     if mode == "semilattice":
-        for a in range(n):
-            if t[a][a] != a:
-                raise ModeHypothesisFailed(f"{S.name_of(a)} is not idempotent")
-            for b in range(n):
-                if t[a][b] != t[b][a]:
-                    raise ModeHypothesisFailed("multiplication not commutative")
+        if not rep.is_semilattice:
+            # the first element that is not idempotent or fails to commute
+            a = next(a for a in range(n)
+                     if t[a][a] != a or not _central(t, a))
+            raise ModeHypothesisFailed(
+                f"{S.name_of(a)} is not idempotent" if t[a][a] != a
+                else "multiplication not commutative")
         leq = [[t[a][b] == a for b in range(n)] for a in range(n)]
         return FinitePoset.from_leq(leq)
     if mode == "inverse":
-        for s in range(n):
-            weak = [u for u in range(n)
-                    if t[t[s][u]][s] == s and t[t[u][s]][u] == u]
-            if len(weak) != 1:
-                raise ModeHypothesisFailed(
-                    f"{S.name_of(s)} has {len(weak)} weak inverses, not 1")
-        leq = [[any(t[b][e] == a for e in idem) for b in range(n)]
+        try:
+            star_map(S)
+        except NotInverse as e:
+            raise ModeHypothesisFailed(str(e)) from None
+        leq = [[any(t[b][e] == a for e in rep.idempotents) for b in range(n)]
                for a in range(n)]
         return FinitePoset.from_leq(leq)
     if mode == "central_idempotent":
@@ -104,6 +104,11 @@ def natural_order(S, mode):
     raise ModeHypothesisFailed(f"unknown order mode {mode!r}")
 
 
+def _central(t, a):
+    """Whether a commutes with every element: its row is its column."""
+    return all(ab == row[a] for ab, row in zip(t[a], t))
+
+
 def splus_map(S):
     """For each s the least idempotent e with se = s, as a tuple.
 
@@ -111,12 +116,11 @@ def splus_map(S):
     idempotent identity; the least one is the product of them all.
     """
     n, t = S.n, S.table
-    idem = [e for e in range(n) if t[e][e] == e]
-    for e in idem:
-        for a in range(n):
-            if t[e][a] != t[a][e]:
-                raise ModeHypothesisFailed(
-                    f"idempotent {S.name_of(e)} is not central")
+    rep = analyze(S)
+    idem = rep.idempotents
+    if not rep.central_idempotents:
+        e = next(e for e in idem if not _central(t, e))
+        raise ModeHypothesisFailed(f"idempotent {S.name_of(e)} is not central")
     splus = []
     for s in range(n):
         above = [e for e in idem if t[s][e] == s]
@@ -156,10 +160,7 @@ def factor_semilattice(S):
     Raises NotSemilattice unless S is commutative and idempotent. The
     answer is not checked here; verify_against checks it.
     """
-    rep_ok = all(S.table[a][a] == a for a in range(S.n)) and \
-        all(S.table[a][b] == S.table[b][a]
-            for a in range(S.n) for b in range(a + 1, S.n))
-    if not rep_ok:
+    if not analyze(S).is_semilattice:
         raise NotSemilattice("semigroup is not a commutative band")
     forms = mobius_forms(S, "semilattice")
     return Factorization.of(CycNum.one(), [(f, 1) for f in forms.values()],

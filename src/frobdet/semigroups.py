@@ -2,17 +2,21 @@
 
 Elements are canonically 0-indexed; names are cosmetic labels carried along
 for IO and display. The zero and identity, when they exist, are detected at
-construction and stored.
+construction and stored; the structural analysis is computed on first use
+and kept. Tables from outside are checked by validate_table; tables cut
+from or built on checked ones inherit their associativity and are not
+scanned again.
 """
 
 import re
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import product as iproduct
 from operator import itemgetter
 
 from .errors import (AssociativityViolation, DeclaredIdentityNotIdentity,
                      DeclaredZeroNotZero, DuplicateName, FormatError,
-                     IndexOutOfRange, NotAGroup, ParamOutOfRange,
+                     IndexOutOfRange, NotAGroup, NotInverse, ParamOutOfRange,
                      SizeOverflow, SizeTooLarge, UnknownFamily)
 
 SIZE_CAP = 4096
@@ -39,6 +43,10 @@ class Semigroup:
 
     def __repr__(self):
         return f"Semigroup(n={self.n}, zero={self.zero}, identity={self.identity})"
+
+    @cached_property
+    def _report(self):
+        return _analysis(self)
 
 
 def validate_table(table, names=None, zero=None, identity=None):
@@ -80,22 +88,38 @@ def validate_table(table, names=None, zero=None, identity=None):
             raise FormatError(f"{len(names)} names for {n} elements")
         if len(set(names)) != n:
             raise DuplicateName("element names are not distinct")
-    found_zero = None
-    for z in range(n):
-        if all(t[z][s] == z and t[s][z] == z for s in range(n)):
-            found_zero = z
-            break
-    if zero is not None and zero != found_zero:
+    S = _derived(t, names)
+    if zero is not None and zero != S.zero:
         raise DeclaredZeroNotZero(f"declared zero {zero} is not a zero element")
-    found_id = None
-    for e in range(n):
-        if all(t[e][s] == s and t[s][e] == s for s in range(n)):
-            found_id = e
-            break
-    if identity is not None and identity != found_id:
+    if identity is not None and identity != S.identity:
         raise DeclaredIdentityNotIdentity(
             f"declared identity {identity} is not an identity element")
-    return Semigroup(n, t, names, found_zero, found_id)
+    return S
+
+
+def _derived(rows, names=None):
+    """The Semigroup on a table cut from or built on tables that were
+    already checked, so that it inherits their associativity: only the
+    size is checked, and the zero and identity are detected. names is a
+    tuple or None."""
+    n = len(rows)
+    if n > SIZE_CAP:
+        raise SizeOverflow(f"size {n} exceeds cap {SIZE_CAP}")
+    t = tuple(map(tuple, rows))
+    zero = next((z for z in range(n) if t[z] == (z,) * n
+                 and all(row[z] == z for row in t)), None)
+    ids = tuple(range(n))
+    identity = next((e for e in ids if t[e] == ids
+                     and all(row[e] == s for s, row in enumerate(t))), None)
+    return Semigroup(n, t, names, zero, identity)
+
+
+def _fresh_label(names, letter):
+    """The shortest run of the letter that names no element yet."""
+    label = letter
+    while label in names:
+        label += letter
+    return label
 
 
 @dataclass(frozen=True)
@@ -116,7 +140,12 @@ class AnalysisReport:
 
 
 def analyze(S):
-    """Structural facts used by the factorization dispatchers."""
+    """Structural facts used by the factorization dispatchers, computed
+    on the first call for S and kept on it."""
+    return S._report
+
+
+def _analysis(S):
     n, t = S.n, S.table
     idem = tuple(s for s in range(n) if t[s][s] == s)
     comm = all(t[a][b] == t[b][a] for a in range(n) for b in range(a + 1, n))
@@ -142,6 +171,21 @@ def analyze(S):
         is_semilattice=semilattice, is_group=group)
 
 
+def star_map(S):
+    """The inverse map s -> s*; raises NotInverse unless each element has
+    exactly one weak inverse."""
+    n, t = S.n, S.table
+    star = []
+    for s in range(n):
+        weak = [u for u in range(n)
+                if t[t[s][u]][s] == s and t[t[u][s]][u] == u]
+        if len(weak) != 1:
+            raise NotInverse(
+                f"{S.name_of(s)} has {len(weak)} weak inverses, not 1")
+        star.append(weak[0])
+    return tuple(star)
+
+
 def subsemigroup(S, elements):
     """Restrict S to a closed subset; returns (sub, ambient_ids)."""
     elems = sorted(set(elements))
@@ -157,7 +201,7 @@ def subsemigroup(S, elements):
             row.append(pos[p])
         rows.append(tuple(row))
     names = tuple(S.name_of(s) for s in elems) if S.names else None
-    return validate_table(rows, names), elems
+    return _derived(rows, names), elems
 
 
 def group_of_units(S):
@@ -184,20 +228,14 @@ def direct_product(A, B, size_cap=SIZE_CAP):
     """Componentwise product on pairs, ordered (a, b) -> a * |B| + b."""
     if A.n * B.n > size_cap:
         raise SizeOverflow(f"product size {A.n * B.n} exceeds cap {size_cap}")
-    n = A.n * B.n
-    rows = []
-    for a in range(A.n):
-        for b in range(B.n):
-            row = []
-            for c in range(A.n):
-                for d in range(B.n):
-                    row.append(A.table[a][c] * B.n + B.table[b][d])
-            rows.append(tuple(row))
+    rows = [[A.table[a][c] * B.n + B.table[b][d]
+             for c in range(A.n) for d in range(B.n)]
+            for a in range(A.n) for b in range(B.n)]
     names = None
     if A.names or B.names:
         names = tuple(f"{A.name_of(a)}.{B.name_of(b)}"
                       for a in range(A.n) for b in range(B.n))
-    return validate_table(rows, names)
+    return _derived(rows, names)
 
 
 def adjoin_identity(S):
@@ -205,14 +243,8 @@ def adjoin_identity(S):
     n = S.n
     rows = [list(row) + [i] for i, row in enumerate(S.table)]
     rows.append(list(range(n + 1)))
-    names = None
-    if S.names:
-        base = set(S.names)
-        label = "I"
-        while label in base:
-            label += "I"
-        names = tuple(S.names) + (label,)
-    return validate_table(rows, names)
+    names = S.names + (_fresh_label(S.names, "I"),) if S.names else None
+    return _derived(rows, names)
 
 
 def adjoin_zero(S):
@@ -220,14 +252,8 @@ def adjoin_zero(S):
     n = S.n
     rows = [list(row) + [n] for row in S.table]
     rows.append([n] * (n + 1))
-    names = None
-    if S.names:
-        base = set(S.names)
-        label = "z"
-        while label in base:
-            label += "z"
-        names = tuple(S.names) + (label,)
-    return validate_table(rows, names)
+    names = S.names + (_fresh_label(S.names, "z"),) if S.names else None
+    return _derived(rows, names)
 
 
 def element_order(S, g):

@@ -14,7 +14,7 @@ import sys
 import pytest
 
 import frobdet
-from frobdet import cli, determinant, poly
+from frobdet import cli, determinant, poly, semigroups
 from frobdet.cli import form_poly, run
 from frobdet.cyclotomic import parse_cyc
 from frobdet.groupoids import inverse_determinant
@@ -213,9 +213,10 @@ def factorizers_called(monkeypatch, argv, S):
     (adjoin_zero(build_family("zmod_add", 3)), [], ["factor_clifford"]),
     (build_family("rook", 2), [], ["inverse_determinant"]),
     (build_family("cyclic_nilpotent", 3), [],
-     ["factor_clifford", "factor_nil_adjoined"]),
+     ["factor_clifford", "inverse_determinant", "factor_nil_adjoined"]),
     (zmult(8), [],
-     ["factor_clifford", "factor_nil_adjoined", "factor_commutative"]),
+     ["factor_clifford", "inverse_determinant", "factor_nil_adjoined",
+      "factor_commutative"]),
     (build_family("left_zero", 3), [],
      ["inverse_determinant", "factor_nil_adjoined", "frobenius_test"]),
     (build_family("cyclic_nilpotent", 3), ["--contracted"],
@@ -227,6 +228,26 @@ def test_factor_tries_the_routes_in_order(monkeypatch, S, argv, route):
     code, _, err, called = factorizers_called(monkeypatch, argv, S)
     assert code == 0, err
     assert called == route
+
+
+def test_each_table_is_analyzed_once_per_request(monkeypatch):
+    # analyze keeps its report on the Semigroup: during one request the
+    # report of each table, input or derived, is computed once
+    analyzed = []
+
+    def recording(S, analysis=semigroups._analysis):
+        analyzed.append(S)  # kept alive, so no two share an id
+        return analysis(S)
+
+    monkeypatch.setattr(semigroups, "_analysis", recording)
+    S3, _ = group_of_units(build_family("full_transform", 3))
+    for text in (emit_sgp(zmult(8)), emit_sgp(build_family("rook", 2)),
+                 emit_sgp(adjoin_zero(S3)), pathlib.Path(WENGER).read_text()):
+        analyzed.clear()
+        code, _, err = run_cli(["factor", "-"], stdin=text)
+        assert code == 0, err
+        assert len(analyzed) > 1
+        assert len({id(T) for T in analyzed}) == len(analyzed)
 
 
 def test_skip_notes_carry_the_clifford_reason(monkeypatch):

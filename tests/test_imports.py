@@ -159,3 +159,53 @@ def test_the_cli_catches_only_skipped_routes():
              and any(getattr(h.type, "id", None) == "NotApplicable"
                      for h in node.handlers)]
     assert [ast.unparse(s) for s in loop.body] == ["answer = factorize(S)"]
+
+
+def calling_functions(source, name):
+    """Module-level functions (or '<module>' and class names) whose bodies
+    call `name` as a plain name or as an attribute."""
+    return {getattr(node, "name", "<module>")
+            for node in ast.parse(source).body
+            if calls_of(ast.unparse(node), name)}
+
+
+def test_finds_calling_functions():
+    source = "def f():\n    g()\ndef h():\n    m.g(1)\ndef k():\n    f()\ng()\n"
+    assert calling_functions(source, "g") == {"f", "h", "<module>"}
+
+
+def test_only_outside_input_is_validated():
+    # tables cut from or built on a checked table inherit its
+    # associativity, so only input, the families, the rings and the two
+    # quotient tables of the commutative pipeline go through validate_table
+    from frobdet.semigroups import FAMILIES
+    sources = {p.name: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}
+    callers = {(name, fn) for name, src in sources.items()
+               for fn in calling_functions(src, "validate_table")}
+    families = {fn.__name__ for fn in FAMILIES.values()} \
+        - {"adjoin_zero", "adjoin_identity"}
+    assert callers == {
+        *(("semigroups.py", fn) for fn in families),
+        ("semigroups.py", "parse_sgp"),
+        ("semigroups.py", "enumerate_commutative"),
+        ("rings.py", "zmod_monoid"), ("rings.py", "matrix_monoid"),
+        ("commutative.py", "splus_decompose"),
+        ("commutative.py", "local_spectrum")}
+    for derived in ("subsemigroup", "adjoin_zero", "adjoin_identity",
+                    "direct_product"):
+        assert ("semigroups.py", derived) not in callers
+
+
+def test_route_guards_are_plain_values():
+    # every guard of cli.factor_routes is read off S before the loop, and
+    # cmd_factor never calls one
+    tree = ast.parse((PACKAGE / "cli.py").read_text())
+    functions = {node.name: node for node in tree.body
+                 if isinstance(node, ast.FunctionDef)}
+    routes = [elt for node in ast.walk(functions["factor_routes"])
+              if isinstance(node, ast.Return)
+              for elt in node.value.elts]
+    assert len(routes) == 9
+    assert all(isinstance(route, ast.Tuple) for route in routes)
+    assert not any(isinstance(route.elts[0], ast.Lambda) for route in routes)
+    assert calls_of(ast.unparse(functions["cmd_factor"]), "callable") == []

@@ -1,5 +1,6 @@
 import random
 from itertools import product as iproduct
+from pathlib import Path
 
 import pytest
 
@@ -11,7 +12,9 @@ from frobdet.semigroups import (analyze, adjoin_identity, adjoin_zero,
                                 build_family, direct_product, element_order,
                                 enumerate_commutative, group_exponent,
                                 group_of_units, maximal_subgroup,
-                                subsemigroup, validate_table)
+                                parse_sgp, subsemigroup, validate_table)
+
+from corpus import zmult
 
 
 def test_validate_basic():
@@ -259,3 +262,61 @@ def test_enumerate_commutative_counts_small():
 def test_enumerate_commutative_caps():
     with pytest.raises(SizeTooLarge):
         enumerate_commutative(5)
+
+
+def _corpus():
+    """Family members, the two data tables and a few zmult monoids."""
+    out = [build_family(family, p) for family, params in [
+        ("gcd", range(1, 7)), ("cyclic_nilpotent", range(1, 5)),
+        ("three_nil", ["1", "11,01", "110,011,001"]), ("rook", range(1, 4)),
+        ("full_transform", range(1, 4)), ("left_zero", range(1, 4)),
+        ("chain_semilattice", range(1, 4)), ("zmod_add", range(1, 7))]
+        for p in params]
+    out += [zmult(n) for n in (4, 6, 8, 9, 12)]
+    data = Path(__file__).resolve().parent.parent / "data"
+    out += [parse_sgp(p.read_text()) for p in sorted(data.glob("*.sgp"))]
+    return out
+
+
+def _same_as_validated(S):
+    # validate_table scans associativity again; the zero and the
+    # identity are checked against their definitions
+    assert S == validate_table(S.table, S.names)
+    t, r = S.table, range(S.n)
+    zeros = [z for z in r if all(t[z][s] == z == t[s][z] for s in r)]
+    identities = [e for e in r if all(t[e][s] == s == t[s][e] for s in r)]
+    assert S.zero == (zeros[0] if zeros else None)
+    assert S.identity == (identities[0] if identities else None)
+
+
+def test_derived_tables_match_validated_ones():
+    # subsemigroup, adjoin_zero, adjoin_identity and direct_product skip
+    # the associativity scan; what they build is what validation builds
+    corpus = _corpus()
+    sources = corpus + [S for n in (1, 2, 3) for S in enumerate_commutative(n)]
+    cut = 0
+    for S in sources:
+        if S.identity is not None:
+            _same_as_validated(group_of_units(S)[0])
+            cut += 1
+        for e in analyze(S).idempotents:
+            corner, _ = subsemigroup(
+                S, {S.table[e][S.table[s][e]] for s in range(S.n)})
+            _same_as_validated(corner)
+            _same_as_validated(maximal_subgroup(S, e)[0])
+            cut += 2
+    assert cut > 300
+    for S in corpus:
+        _same_as_validated(adjoin_zero(S))
+        _same_as_validated(adjoin_identity(S))
+    for A in corpus[::7]:
+        for B in corpus[::11]:
+            _same_as_validated(direct_product(A, B))
+
+
+def test_analysis_is_kept_on_the_semigroup():
+    S = build_family("full_transform", 3)
+    assert analyze(S) is analyze(S)
+    T = build_family("full_transform", 3)
+    assert T == S and analyze(T) is not analyze(S)
+    assert analyze(T) == analyze(S)
