@@ -268,8 +268,7 @@ class CycNum:
             prod = CycNum.one(n)
             for k in range(2, n):
                 if gcd(k, n) == 1:
-                    prod = prod * CycNum.from_numerators(
-                        n, _combine(a.nums, n, k), 1)
+                    prod = prod * a.galois(k)
             nums, norm = [x * d for x in prod.nums], (a * prod).nums[0]
         if norm < 0:
             nums, norm = [-x for x in nums], -norm
@@ -288,13 +287,17 @@ class CycNum:
             return self.inverse() ** (-k)
         return _repeated_squaring(self, k) if k else CycNum.one(self.order)
 
-    def conj(self):
-        """Complex conjugation, zeta |-> zeta^(N-1)."""
+    def galois(self, k):
+        """The image under the automorphism zeta |-> zeta^k of
+        Q(zeta_order), for k prime to the order."""
         if len(self.nums) == 1:
             return self
         n = self.order
-        return CycNum.from_numerators(n, _combine(self.nums, n, n - 1),
-                                      self.den)
+        return CycNum.from_numerators(n, _combine(self.nums, n, k), self.den)
+
+    def conj(self):
+        """Complex conjugation, zeta |-> zeta^(N-1)."""
+        return self.galois(self.order - 1)
 
     def is_zero(self):
         return not any(self.nums)

@@ -8,15 +8,18 @@ the exact constant. Nothing here is ever a bare sign guess.
 """
 
 import random
+from collections import Counter
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from math import lcm
+from itertools import accumulate, repeat
+from math import gcd, lcm
 
-from .cyclotomic import CycNum
-from .errors import VerificationFailed
+from . import poly
+from .cyclotomic import CycNum, _phi, power_basis_bound
+from .errors import DimensionCap, VerificationFailed
 from .linalg import det_mod
-from .modular import prime_for, root_of_unity
-from .poly import Poly
+from .modular import fixed_prime, prime_for, root_of_unity
+from .poly import Poly, _add_product
 
 RANDOM_BOUND = 10 ** 6
 
@@ -44,7 +47,8 @@ class Factorization:
         return f.normalized()
 
     def expand(self):
-        """Multiply out to a Poly."""
+        """Multiply out to a Poly. The exact check does not call this
+        (see _expands_to); tests use it as their reference."""
         if self.status == "zero":
             return Poly.zero(self.constant.order)
         p = Poly.const(self.constant)
@@ -176,15 +180,138 @@ def _randomized_record(F, other, variables, reduction, seed, rounds):
             "seed": seed}
 
 
+def _galois_closed(factors, order):
+    """Whether every automorphism zeta -> zeta^k of Q(zeta_order) permutes
+    the factors with their multiplicities, compared on canonical strings."""
+    factors = [(f.at_order(order), m) for f, m in factors]
+    counts = Counter()
+    for f, m in factors:
+        counts[f.to_str()] += m
+    for k in range(2, order):
+        if gcd(k, order) == 1:
+            image = Counter()
+            for f, m in factors:
+                image[Poly(order, {x: c.galois(k) for x, c in f.terms.items()})
+                      .to_str()] += m
+            if image != counts:
+                return False
+    return True
+
+
+def _expands_to(reference, F, degree):
+    """Whether the nonzero F multiplies out to reference, both of the
+    given degree, decided exactly modulo fixed primes without Poly or
+    CycNum arithmetic.
+
+    Let N be the lcm of the cyclotomic orders of F and reference. The
+    constant and each factor are scaled to integer power-basis coordinates
+    at N; T is the product of the scales, each factor's to its
+    multiplicity. Modulo each fixed prime p = 1 (mod N) (see
+    modular.fixed_prime), with zeta_N sent to a primitive N-th root of
+    unity r mod p, T*F is multiplied out on packed integer keys (each
+    variable's exponent in a digit of its own, no zeta digit), reduced
+    mod p after each factor, and compared with T*reference. A reference that
+    T does not scale into Z[zeta_N] differs from F. Agreement at every r
+    makes each power-basis coordinate of the difference divisible by p,
+    so primes are added until their product exceeds 2B, where B bounds
+    those coordinates: R_N times the product of the coordinate 1-norms of
+    the constant and of each factor to its multiplicity (see
+    cyclotomic.power_basis_bound), plus the largest coordinate of
+    T*reference. One root suffices when N <= 2, and when reference and
+    the constant are rational and the factors are Galois-closed: then F
+    multiplies out to a rational polynomial, and B drops the factor R_N,
+    since |zeta^j| = 1. Holding more than poly.TERM_BUDGET terms raises
+    DimensionCap."""
+    order = lcm(F.constant.order, reference.order,
+                *(f.order for f, _ in F.factors))
+    width = max(degree, 1).bit_length()
+    shift = {}  # variable -> its digit's offset, in order of appearance
+
+    def key(x):
+        k = 0
+        for v, e in x:
+            if v not in shift:
+                shift[v] = width * len(shift)
+            k += e << shift[v]
+        return k
+
+    def scaled(terms):
+        """(scale, [(key, the nonzero integer coordinates (t, a) of
+        scale * c)])."""
+        terms = [(x, c.embed(order)) for x, c in terms]
+        s = lcm(*(c.den for _, c in terms))
+        return s, [(key(x), [(t, a * (s // c.den))
+                             for t, a in enumerate(c.nums) if a])
+                   for x, c in terms]
+
+    total, [(_, constant)] = scaled([((), F.constant)])
+    product = sum(abs(a) for _, a in constant)
+    factors = []
+    for f, m in F.factors:
+        s, terms = scaled(f.terms.items())
+        total *= s ** m
+        product *= sum([abs(a) for _, c in terms for _, a in c]) ** m
+        factors.append((terms, m))
+    target = []
+    for x, c in reference.terms.items():
+        c = c.embed(order)
+        nums = [(t, a * total) for t, a in enumerate(c.nums) if a]
+        if c.den != 1:
+            if any(a % c.den for _, a in nums):
+                return False
+            nums = [(t, a // c.den) for t, a in nums]
+        target.append((key(x), nums))
+    phi = _phi(order)
+    one_root = phi == 1 or (
+        F.constant.is_rational()
+        and all(c.is_rational() for c in reference.terms.values())
+        and _galois_closed(F.factors, order))
+    bound = product * (1 if one_root else power_basis_bound(order)) + max(
+        [abs(a) for _, c in target for _, a in c], default=0)
+    modulus, i = 1, 0
+    while modulus <= 2 * bound:
+        p, w = fixed_prime(order, i)
+        roots = [w] if one_root else [pow(w, k, p) for k in range(order)
+                                      if gcd(k, order) == 1]
+        for r in roots:
+            pw = list(accumulate(repeat(r, phi - 1),
+                                 lambda x, y: x * y % p, initial=1))
+
+            def image(c):
+                return sum([a * pw[t] for t, a in c]) % p
+
+            v = image(constant)
+            acc = {0: v} if v else {}
+            for terms, m in factors:
+                f = {}
+                for k, c in terms:
+                    if v := image(c):
+                        f[k] = v
+                for _ in range(m):
+                    out = {}
+                    _add_product(out, acc, f)
+                    acc = {k: v for k, c in out.items() if (v := c % p)}
+                    if len(acc) > poly.TERM_BUDGET:
+                        raise DimensionCap(
+                            f"expansion of a factorization exceeds the "
+                            f"budget of {poly.TERM_BUDGET} terms")
+            if acc != {k: v for k, c in target if (v := image(c))}:
+                return False
+        modulus *= p
+        i += 1
+    return True
+
+
 def verify_factorization(reference, F, mode="exact", seed=0, rounds=5):
     """Check that F multiplies out to the reference polynomial.
 
-    mode "exact" expands F and compares term by term; "randomized" compares
-    values at the seeded integer points modulo a prime, without expanding
-    (see _Reduction). In both modes a nonzero F whose degree differs from
-    the reference's is rejected first, without expanding or evaluating.
-    Returns the verification record (also attached downstream); raises
-    nothing on mismatch, the caller inspects the 'equal' flag.
+    mode "exact" decides the identity modulo fixed primes (see
+    _expands_to); "randomized" compares values at the seeded integer
+    points modulo a prime, without expanding (see _Reduction). In both
+    modes a nonzero F whose degree differs from the reference's is
+    rejected first, without expanding or evaluating. Returns the
+    verification record (also attached downstream); raises nothing on
+    mismatch, the caller inspects the 'equal' flag.
     """
     if F.status == "zero":
         if mode == "exact":
@@ -195,11 +322,13 @@ def verify_factorization(reference, F, mode="exact", seed=0, rounds=5):
     # A nonzero product has the summed degree of its factors, so a degree
     # mismatch settles the comparison without expanding or evaluating.
     nonzero = not F.constant.is_zero() and all(f for f, _ in F.factors)
-    if nonzero and F.degree() != reference.total_degree():
+    degree = F.degree()
+    if nonzero and degree != reference.total_degree():
         return {"equal": False, "mode": mode, "rounds": 0, "seed": seed}
     if mode == "exact":
-        return {"equal": reference == F.expand(), "mode": "exact",
-                "rounds": 0, "seed": seed}
+        equal = (_expands_to(reference, F, degree) if nonzero
+                 else reference.is_zero())
+        return {"equal": equal, "mode": "exact", "rounds": 0, "seed": seed}
     variables = sorted(reference.variables().union(
         *(f.variables() for f, _ in F.factors)))
     reduction = _Reduction(_values(F) + list(reference.terms.values()), seed)

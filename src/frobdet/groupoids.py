@@ -9,6 +9,7 @@ Mobius change of variables y_s = sum_{t <= s} mu(t, s) x_t.
 
 from dataclasses import dataclass
 
+from . import poly
 from .cyclotomic import CycNum
 from .determinant import factor_group_determinant, paratrophic_determinant
 from .errors import (DimensionCap, NonabelianWithoutReps, NotApplicable,
@@ -122,14 +123,23 @@ def _component_blocks(g):
 def groupoid_determinant(S, cap=DEFAULT_CAP):
     """Determinant of the groupoid matrix: entry (a, b) is x_{ab} when
     dom(a) = ran(b) and 0 otherwise. Block diagonal over the connected
-    components, so the determinant is a product over components."""
+    components, so the determinant is a product over components. The
+    blocks have disjoint variables, so a product of blocks with a and b
+    terms has a*b terms; past poly.TERM_BUDGET it raises DimensionCap
+    before multiplying."""
     g = groupoid_of(S)
     det = Poly.const(CycNum.one())
     for arrows in _component_blocks(g):
         mat = [[Poly.variable(g.compose(a, b)) if g.composable(a, b)
                 else Poly.zero()
                 for b in arrows] for a in arrows]
-        det = det * det_poly_matrix(mat, cap=cap)
+        block = det_poly_matrix(mat, cap=cap)
+        if len(det.terms) * len(block.terms) > poly.TERM_BUDGET:
+            raise DimensionCap(
+                f"product of groupoid blocks of {len(det.terms)} and "
+                f"{len(block.terms)} terms exceeds the budget of "
+                f"{poly.TERM_BUDGET} terms")
+        det = det * block
         if det.is_zero():
             return det
     return det

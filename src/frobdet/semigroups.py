@@ -2,10 +2,10 @@
 
 Elements are canonically 0-indexed; names are cosmetic labels carried along
 for IO and display. The zero and identity, when they exist, are detected at
-construction and stored; the structural analysis is computed on first use
-and kept. Tables from outside are checked by validate_table; tables cut
-from or built on checked ones inherit their associativity and are not
-scanned again.
+construction and stored; the structural analysis and the star map are
+computed on first use and kept. Tables from outside are checked by
+validate_table; tables cut from or built on checked ones inherit their
+associativity and are not scanned again.
 """
 
 import re
@@ -47,6 +47,10 @@ class Semigroup:
     @cached_property
     def _report(self):
         return _analysis(self)
+
+    @cached_property
+    def _star(self):
+        return _weak_inverses(self)
 
 
 def validate_table(table, names=None, zero=None, identity=None):
@@ -173,15 +177,24 @@ def _analysis(S):
 
 def star_map(S):
     """The inverse map s -> s*; raises NotInverse unless each element has
-    exactly one weak inverse."""
+    exactly one weak inverse. S is scanned on the first call and the
+    outcome kept on it."""
+    star = S._star
+    if isinstance(star, str):
+        raise NotInverse(star)
+    return star
+
+
+def _weak_inverses(S):
+    """The star map as a tuple, or the NotInverse text naming the first
+    element without exactly one weak inverse."""
     n, t = S.n, S.table
     star = []
     for s in range(n):
         weak = [u for u in range(n)
                 if t[t[s][u]][s] == s and t[t[u][s]][u] == u]
         if len(weak) != 1:
-            raise NotInverse(
-                f"{S.name_of(s)} has {len(weak)} weak inverses, not 1")
+            return f"{S.name_of(s)} has {len(weak)} weak inverses, not 1"
         star.append(weak[0])
     return tuple(star)
 

@@ -16,7 +16,8 @@ import pytest
 import frobdet
 from frobdet import cli, determinant, poly, semigroups
 from frobdet.cli import form_poly, run
-from frobdet.cyclotomic import parse_cyc
+from frobdet.cyclotomic import CycNum, parse_cyc
+from frobdet.factorization import Factorization
 from frobdet.groupoids import inverse_determinant
 from frobdet.poly import TERM_BUDGET, Poly
 from frobdet.semigroups import (adjoin_zero, build_family, emit_sgp,
@@ -159,6 +160,77 @@ def test_a_check_error_is_not_a_skipped_route(monkeypatch):
     assert err == ("error: symbolic determinant of dimension 5 exceeds the "
                    "budget of 40 terms\n")
     assert len(calls) == 1
+
+
+def det_and_factorization(tmp_path, S):
+    """Paths of the det output and of the factor --json output for S."""
+    sgp = emit_sgp(S)
+    det, fact = tmp_path / "theta.det", tmp_path / "fact.json"
+    det.write_text(run_cli(["det", "-"], stdin=sgp)[1])
+    fact.write_text(run_cli(["factor", "-", "--json"], stdin=sgp)[1])
+    return str(det), str(fact)
+
+
+def test_the_exact_check_has_a_term_budget(monkeypatch, tmp_path):
+    # multiplying out zmod_add 6's six character forms peaks at 198 terms
+    det, fact = det_and_factorization(tmp_path, build_family("zmod_add", 6))
+    monkeypatch.setattr(poly, "TERM_BUDGET", 100)
+    code, out, err = run_cli(["verify", det, fact])
+    assert (code, out) == (1, "")
+    assert err == ("error: expansion of a factorization exceeds the budget "
+                   "of 100 terms\n")
+    monkeypatch.setattr(poly, "TERM_BUDGET", 198)
+    assert run_cli(["verify", det, fact])[0] == 0
+
+
+def test_the_exact_check_does_no_poly_or_field_arithmetic(monkeypatch,
+                                                          tmp_path):
+    # the check multiplies F out modulo primes on packed integer keys
+    S = build_family("zmod_add", 6)
+    det, fact = det_and_factorization(tmp_path, S)
+    checks = []
+
+    def refuse(*args):
+        raise AssertionError("Poly or CycNum arithmetic in the exact check")
+
+    def guarded(check):
+        def run_check(*args, **kwargs):
+            checks.append(check.__name__)
+            with monkeypatch.context() as m:
+                for cls, name in ((Factorization, "expand"),
+                                  (Poly, "__mul__"), (CycNum, "__mul__")):
+                    m.setattr(cls, name, refuse)
+                return check(*args, **kwargs)
+        return run_check
+
+    monkeypatch.setattr(determinant, "checked", guarded(determinant.checked))
+    monkeypatch.setattr(cli, "verify_factorization",
+                        guarded(cli.verify_factorization))
+    code, out, err = run_cli(["factor", "-", "--exact"], stdin=emit_sgp(S))
+    assert (code, err) == (0, "")
+    assert "verification: exact" in out.splitlines()
+    code, out, err = run_cli(["verify", det, fact])
+    assert (code, out, err) == (0, "status: verified\nverification: exact\n",
+                                "")
+    assert checks == ["checked", "verify_factorization"]
+
+
+def test_factor_scans_for_weak_inverses_once(monkeypatch):
+    # the Clifford route reads the star map in groupoid_of and again in
+    # mobius_forms(S, "inverse")
+    scans = []
+
+    def counting(S):
+        scans.append(S.n)
+        return weak_inverses(S)
+
+    weak_inverses = semigroups._weak_inverses
+    monkeypatch.setattr(semigroups, "_weak_inverses", counting)
+    sgp = emit_sgp(adjoin_zero(build_family("zmod_add", 5)))
+    code, out, err = run_cli(["factor", "-"], stdin=sgp)
+    assert (code, err) == (0, "")
+    assert "provenance: clifford-mobius" in out.splitlines()
+    assert scans == [6]
 
 
 def test_a_plain_answer_with_a_zero_is_checked_on_the_contracted_theta(

@@ -1,7 +1,8 @@
 import pytest
 
+from frobdet import poly
 from frobdet.determinant import paratrophic_determinant, verify_against
-from frobdet.errors import NotClifford, NotInverse
+from frobdet.errors import DimensionCap, NotApplicable, NotClifford, NotInverse
 from frobdet.groupoids import (connected_components, factor_clifford,
                                groupoid_determinant, groupoid_of,
                                groupoid_structure, inverse_determinant,
@@ -91,6 +92,20 @@ def test_groupoid_determinant_blocks():
     S = build_family("rook", 2)
     gd = groupoid_determinant(S)
     assert gd.is_homogeneous() and gd.total_degree() == 7
+
+
+def test_groupoid_block_product_has_a_term_budget(monkeypatch):
+    # two Z/3 blocks of 4 terms, each expanded within 8 live terms
+    S = direct_product(build_family("zmod_add", 3), build_family("gcd", 2))
+    monkeypatch.setattr(poly, "TERM_BUDGET", 15)
+    message = ("product of groupoid blocks of 4 and 4 terms exceeds the "
+               "budget of 15 terms")
+    with pytest.raises(DimensionCap, match=f"^{message}$"):
+        groupoid_determinant(S)
+    with pytest.raises(NotApplicable, match=f"^{message}$"):
+        inverse_determinant(S)
+    monkeypatch.setattr(poly, "TERM_BUDGET", 16)
+    assert len(groupoid_determinant(S).terms) == 16
 
 
 def test_factor_clifford_z2_with_zero():

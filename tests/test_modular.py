@@ -5,12 +5,14 @@ from fractions import Fraction
 import pytest
 
 from frobdet.commutative import factor_local
+from frobdet.cyclotomic import CycNum
 from frobdet.determinant import (factor_group_determinant,
                                  paratrophic_determinant)
 from frobdet.factorization import (RANDOM_BOUND, Factorization,
-                                   random_points, random_table_check,
-                                   verify_factorization)
-from frobdet.modular import MIN_PRIME, is_prime, prime_for, root_of_unity
+                                   _galois_closed, random_points,
+                                   random_table_check, verify_factorization)
+from frobdet.modular import (MIN_PRIME, fixed_prime, is_prime, prime_for,
+                             root_of_unity)
 from frobdet.nilpotent import factor_nil_adjoined, parse_cocycle
 from frobdet.poly import Poly
 from frobdet.semigroups import build_family
@@ -135,3 +137,147 @@ def test_a_denominator_divisible_by_the_first_prime():
         {"equal": True, "mode": "randomized", "rounds": 5, "seed": 0}
     wrong = Factorization.of(Fraction(2, p), [(x0 + x1, 1)], "test")
     assert not verify_factorization(reference, wrong, "randomized")["equal"]
+
+
+def exact_oracle(reference, F, seed=0):
+    """The exact record, with F multiplied out in Poly arithmetic."""
+    return {"equal": reference == F.expand(), "mode": "exact", "rounds": 0,
+            "seed": seed}
+
+
+def check_exactly(reference, F):
+    """verify_factorization's exact record, which must equal the oracle's."""
+    record = verify_factorization(reference, F)
+    assert record == exact_oracle(reference, F)
+    return record["equal"]
+
+
+@pytest.mark.parametrize("mode", ["plain", "contracted", "twisted"])
+def test_the_exact_check_agrees_with_expand(mode):
+    S, F, cocycle = answer(mode)
+    theta = paratrophic_determinant(S, mode, cocycle)
+    assert check_exactly(theta, F)
+    basis = [s for s in range(S.n) if mode == "plain" or s != S.zero]
+    for name, wrong in corruptions(F, basis):
+        assert not check_exactly(theta, wrong), name
+
+
+def test_a_coefficient_off_by_the_first_prime():
+    # equal modulo the first prime, so the bound must call in a second
+    x0, x1 = Poly.variable(0), Poly.variable(1)
+    F = Factorization.of(1, [(x0 + x1, 2)], "test")
+    p = fixed_prime(1, 0)[0]
+    assert not check_exactly(F.expand() + (x0 * x1).scale(p), F)
+    z = CycNum.root_of_unity(3)
+    G = Factorization.of(1, [(x0 + x1.scale(z), 1), (x0 + x1.scale(z * z), 1)],
+                         "test")
+    q = fixed_prime(3, 0)[0]
+    assert not check_exactly(G.expand() + (x0 * x1).scale(z * q), G)
+
+
+def short_multiple(p, r):
+    """A short nonzero (a, b) with a + b*r = 0 mod p, by Lagrange reduction
+    of the lattice those pairs form: its entries are near sqrt(p)."""
+    def dot(u, v):
+        return u[0] * v[0] + u[1] * v[1]
+    u, v = (p, 0), (-r, 1)
+    while True:
+        if dot(u, u) < dot(v, v):
+            u, v = v, u
+        q = round(Fraction(dot(u, v), dot(v, v)))
+        if q == 0:
+            return v
+        u = (u[0] - q * v[0], u[1] - q * v[1])
+
+
+def test_a_difference_that_vanishes_at_the_first_root():
+    # zeta - r is 0 mod p at the first root r of the first prime, but not
+    # at the others
+    p, r = fixed_prime(5, 0)
+    z = CycNum.root_of_unity(5)
+    x0, x1 = Poly.variable(0), Poly.variable(1)
+    F = Factorization.of(1, [(x0 + x1.scale(z ** k), 1) for k in range(5)],
+                         "test")
+    assert check_exactly(F.expand(), F)
+    assert not check_exactly(F.expand() + (x0 ** 5).scale(z - r), F)
+    # a short c = a + b*zeta with the same root keeps the bound below p,
+    # so only the second root mod the first prime tells them apart
+    p, r = fixed_prime(3, 0)
+    s = r * r % p
+    a, b = short_multiple(p, r)
+    assert (a + b * r) % p == 0 != (a + b * s) % p and abs(a) + abs(b) < 2 ** 33
+    c = CycNum.root_of_unity(3) * b + a
+    G = Factorization.of(1, [(x0 + x1.scale(CycNum.root_of_unity(3)), 2)],
+                         "test")
+    assert not check_exactly(G.expand() + (x1 ** 2).scale(c), G)
+
+
+def test_factors_that_are_not_galois_closed():
+    z = CycNum.root_of_unity(3)
+    x0, x1 = Poly.variable(0), Poly.variable(1)
+    theta = x0 ** 2 - x0 * x1 + x1 ** 2  # (x0 + z x1)(x0 + z^2 x1)
+    square = Factorization("factored", CycNum.one(), ((x0 + x1.scale(z), 2),),
+                           "test")
+    assert not _galois_closed(square.factors, 3)
+    assert not check_exactly(theta, square)
+    # the same product as two factors that no automorphism permutes
+    scaled = Factorization(
+        "factored", CycNum.one(),
+        ((x0.scale(z * 2) + x1.scale(z * z * 2), 1),
+         (x0.scale(z * z * Fraction(1, 2)) + x1.scale(z * Fraction(1, 2)), 1)),
+        "test")
+    assert not _galois_closed(scaled.factors, 3)
+    assert check_exactly(theta, scaled)
+    closed = Factorization.of(1, [(x0 + x1.scale(z), 1),
+                                  (x0 + x1.scale(z * z), 1)], "test")
+    assert _galois_closed(closed.factors, 3)
+    assert check_exactly(theta, closed)
+    assert not check_exactly(theta + x1 ** 2, closed)
+    # x0 + c*x1 with c = 0 mod p at the first root equals the rational x0
+    # there; one root would do only if the factors were Galois-closed
+    a, b = short_multiple(*fixed_prime(3, 0))
+    c = z * b + a
+    assert not check_exactly(x0, Factorization.of(1, [(x0 + x1.scale(c), 1)],
+                                                  "test"))
+
+
+def test_a_twisted_theta_with_irrational_coefficients():
+    S, F, cocycle = answer("twisted")
+    theta = paratrophic_determinant(S, "twisted", cocycle)
+    assert not all(c.is_rational() for c in theta.terms.values())
+    assert check_exactly(theta, F)
+    z = CycNum.root_of_unity(cocycle.order)
+    assert not check_exactly(theta, replace(F, constant=F.constant * z))
+
+
+def test_a_denominator_equal_to_a_fixed_prime():
+    # each value is scaled to integers, so nothing is inverted mod p
+    x0, x1 = Poly.variable(0), Poly.variable(1)
+    for order in (1, 4):
+        p = fixed_prime(order, 0)[0]
+        z = CycNum.root_of_unity(order)
+        f = x0 + x1.scale(z * Fraction(1, p))
+        reference = (f * f).scale(Fraction(3, p))
+        F = Factorization.of(Fraction(3, p), [(f, 2)], "test")
+        assert check_exactly(reference, F)
+        wrong = Factorization.of(Fraction(3, p + 1), [(f, 2)], "test")
+        assert not check_exactly(reference, wrong)
+    # a coefficient that the scales leave fractional cannot match
+    F = Factorization.of(1, [(x0, 1)], "test")
+    assert not check_exactly(x0 + x1.scale(Fraction(1, 2)), F)
+
+
+def test_zero_answers():
+    x0, x1 = Poly.variable(0), Poly.variable(1)
+    f = x0 + x1
+    zero_constant = Factorization("factored", CycNum.zero(), ((f, 1),),
+                                  "test")
+    zero_factor = Factorization("factored", CycNum.one(),
+                                ((f, 1), (Poly.zero(), 2)), "test")
+    for F in (zero_constant, zero_factor):
+        assert check_exactly(Poly.zero(), F)
+        assert not check_exactly(f, F)
+    F = Factorization.zero("test")
+    assert verify_factorization(Poly.zero(), F)["equal"]
+    assert not verify_factorization(f, F)["equal"]
+
