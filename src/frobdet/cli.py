@@ -53,10 +53,10 @@ def poly_form(p):
 
 
 def form_poly(form, order):
-    p = Poly.zero(order)
-    for k, v in form.items():
-        p = p + parse_poly(k, order) * Poly.const(parse_cyc(v, order))
-    return p
+    return Poly.from_terms(order, (
+        item for k, v in form.items()
+        for item in parse_poly(k, order).scale(parse_cyc(v, order))
+        .terms.items()))
 
 
 def factorization_data(F, S):

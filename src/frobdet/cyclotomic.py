@@ -4,8 +4,10 @@ A value of order N is stored by its coordinates in the power basis
 1, z, ..., z^(phi(N)-1) of Q[z]/(Phi_N), as integer numerators over one
 shared positive denominator in lowest terms, so two values of equal order
 are equal iff their numerators and denominators are equal. Phi_N is monic
-with integer coefficients, so reduction mod Phi_N and the change of basis
-between orders are integer tables, and sums and products work on ints.
+with integer coefficients, so the powers z^phi(N), ..., z^(N-1) have
+integer coordinates. Reduction mod Phi_N, the change of basis between
+orders and the Galois action all read that one table, and sums and
+products work on ints.
 Values of different orders are compared and combined after embedding both
 into Q(zeta_lcm) via zeta_N = zeta_M^(M/N).
 """
@@ -50,42 +52,25 @@ def cyclotomic_polynomial(order):
     return tuple(poly)
 
 
+@lru_cache(maxsize=None)
 def _phi(order):
     return len(cyclotomic_polynomial(order)) - 1
 
 
 @lru_cache(maxsize=None)
-def _reduction_rows(order):
-    """Integer coordinates of z^k mod Phi_order for k in range(d, 2d-1)."""
+def _high_powers(order):
+    """Integer coordinates of z^k mod Phi_order for k in range(phi, order),
+    the powers below order that are not basis vectors. Row k - phi is z^k."""
     phi = cyclotomic_polynomial(order)
     d = len(phi) - 1
     rows = []
     row = [-c for c in phi[:d]]
-    rows.append(tuple(row))
-    for _ in range(d - 2):
-        top = row[d - 1]
-        row = [0] + row[: d - 1]
-        if top:
-            row = [row[i] - top * phi[i] for i in range(d)]
+    for _ in range(order - d):
         rows.append(tuple(row))
-    return tuple(rows)
-
-
-@lru_cache(maxsize=None)
-def _power_basis(order):
-    """Integer coordinates of z^k mod Phi_order for every k in range(order)."""
-    d = _phi(order)
-    phi = cyclotomic_polynomial(order)
-    rows = []
-    row = [0] * d
-    row[0] = 1
-    rows.append(tuple(row))
-    for _ in range(order - 1):
-        top = row[d - 1]
-        row = [0] + row[: d - 1]
+        top = row[-1]
+        row = [0] + row[:-1]
         if top:
-            row = [row[i] - top * phi[i] for i in range(d)]
-        rows.append(tuple(row))
+            row = [x - top * c for x, c in zip(row, phi)]
     return tuple(rows)
 
 
@@ -93,34 +78,28 @@ def _power_basis(order):
 def power_basis_bound(order):
     """R_order: the largest |coordinate| of z^k mod Phi_order over
     k < order. A polynomial in z with coefficient 1-norm L reduces to
-    coordinates of size at most R_order * L, since z^order = 1."""
-    return max(abs(c) for row in _power_basis(order) for c in row)
+    coordinates of size at most R_order * L, since z^order = 1. The basis
+    vectors contribute 1, and every row of the table is nonzero."""
+    return max((max(map(abs, row)) for row in _high_powers(order)),
+               default=1)
 
 
-def _reduce(coeffs, order):
-    """Reduce a coefficient list of length <= 2d-1 mod Phi_order."""
+def _combine(nums, order, step=1):
+    """Integer coordinates of sum(nums[j] * z^(j*step)) mod Phi_order, for
+    any number of terms. A power below phi is a basis vector, so the table
+    of higher powers is read only when one occurs."""
     d = _phi(order)
-    out = list(coeffs[:d])
-    out += [0] * (d - len(out))
-    if len(coeffs) > d:
-        rows = _reduction_rows(order)
-        for k in range(d, len(coeffs)):
-            c = coeffs[k]
-            if c:
-                row = rows[k - d]
-                for i in range(d):
-                    out[i] += c * row[i]
-    return out
-
-
-def _combine(nums, order, step):
-    """Integer coordinates of sum(nums[j] * z^(j*step)) mod Phi_order."""
-    rows = _power_basis(order)
-    out = [0] * len(rows[0])
+    out = [0] * d
+    rows = None
     for j, c in enumerate(nums):
         if c:
-            row = rows[j * step % order]
-            for i, x in enumerate(row):
+            k = j * step % order
+            if k < d:
+                out[k] += c
+                continue
+            if rows is None:
+                rows = _high_powers(order)
+            for i, x in enumerate(rows[k - d]):
                 if x:
                     out[i] += c * x
     return out
@@ -193,7 +172,13 @@ class CycNum:
     @staticmethod
     def root_of_unity(order, k=1):
         """zeta_order^k."""
-        return CycNum.from_numerators(order, _power_basis(order)[k % order], 1)
+        k %= order
+        d = _phi(order)
+        if k >= d:
+            return CycNum.from_numerators(order, _high_powers(order)[k - d], 1)
+        nums = [0] * d
+        nums[k] = 1
+        return CycNum.from_numerators(order, nums, 1)
 
     def embed(self, order):
         if order == self.order:
@@ -250,7 +235,7 @@ class CycNum:
                 for j, y in enumerate(b.nums):
                     if y:
                         conv[i + j] += x * y
-        return CycNum.from_numerators(a.order, _reduce(conv, a.order), den)
+        return CycNum.from_numerators(a.order, _combine(conv, a.order), den)
 
     __rmul__ = __mul__
 

@@ -29,41 +29,37 @@ class ParatrophicMatrix:
 
 
 def cayley_matrix(S, mode="plain", cocycle=None):
-    """The multiplication matrix of S in one of the table presentations."""
+    """The multiplication matrix of S in one of the table presentations.
+    A contracted matrix is the twisted one with every cocycle value 1."""
+    if mode not in ("plain", "contracted", "twisted"):
+        raise ValueError(f"unknown matrix mode {mode!r}")
     n, t = S.n, S.table
-    if mode == "plain":
-        rows = tuple(tuple(Poly.variable(t[a][b]) for b in range(n))
-                     for a in range(n))
-        return ParatrophicMatrix("plain", tuple(range(n)), rows)
-    if mode in ("contracted", "twisted"):
+    z, order, weight = None, 1, None
+    if mode != "plain":
         if S.zero is None:
             raise NoZero("contracted matrix needs a zero element")
         z = S.zero
-        basis = tuple(s for s in range(n) if s != z)
-        if mode == "contracted":
-            rows = tuple(
-                tuple(Poly.variable(t[a][b]) if t[a][b] != z else Poly.zero()
-                      for b in basis)
-                for a in basis)
-            return ParatrophicMatrix("contracted", basis, rows)
+    if mode == "twisted":
         if cocycle is None:
             raise CocycleDomainMismatch("twisted matrix needs a cocycle")
         if cocycle.n != n:
             raise CocycleDomainMismatch(
                 f"cocycle on {cocycle.n} elements, semigroup has {n}")
-        rows = []
-        for a in basis:
-            row = []
-            for b in basis:
-                p = t[a][b]
-                if p == z:
-                    row.append(Poly.zero(cocycle.order))
-                else:
-                    row.append(Poly.variable(p, cocycle.order)
-                               .scale(cocycle.value(a, b)))
-            rows.append(tuple(row))
-        return ParatrophicMatrix("twisted", basis, tuple(rows))
-    raise ValueError(f"unknown matrix mode {mode!r}")
+        order, weight = cocycle.order, cocycle.value
+    basis = tuple(s for s in range(n) if s != z)
+    rows = []
+    for a in basis:
+        row = []
+        for b in basis:
+            p = t[a][b]
+            if p == z:
+                row.append(Poly.zero(order))
+            elif weight is None:
+                row.append(Poly.variable(p))
+            else:
+                row.append(Poly.variable(p, order).scale(weight(a, b)))
+        rows.append(tuple(row))
+    return ParatrophicMatrix(mode, basis, tuple(rows))
 
 
 def paratrophic_determinant(S, mode="plain", cocycle=None, cap=DEFAULT_CAP):

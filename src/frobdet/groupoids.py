@@ -84,7 +84,6 @@ def connected_components(g):
 @dataclass(frozen=True)
 class GroupoidStructure:
     components: tuple  # per component: (objects, base, n_objects, group_order)
-    isotropy: tuple  # per component: (group Semigroup, ambient ids)
     total_arrows: int
 
 
@@ -94,7 +93,6 @@ def groupoid_structure(S):
     g = groupoid_of(S)
     comps = connected_components(g)
     infos = []
-    groups = []
     total = 0
     for objs in comps:
         base = objs[0]
@@ -102,10 +100,9 @@ def groupoid_structure(S):
         loop = [s for s in g.arrows if g.dom[s] == base and g.ran[s] == base]
         assert sorted(ids) == sorted(loop)
         infos.append((objs, base, len(objs), G.n))
-        groups.append((G, ids))
         total += len(objs) ** 2 * G.n
     assert total == S.n, "arrow count does not match sum n_i^2 |G_i|"
-    return GroupoidStructure(tuple(infos), tuple(groups), S.n)
+    return GroupoidStructure(tuple(infos), S.n)
 
 
 def _component_blocks(g):

@@ -67,17 +67,25 @@ def _mono_key(m):
     return mono_deg(m), tuple((-v, e) for v, e in m)
 
 
-def mono_cmp(a, b):
-    """Graded lex comparison: -1, 0 or 1, as _mono_key orders a and b."""
-    ka, kb = _mono_key(a), _mono_key(b)
-    return (ka > kb) - (ka < kb)
-
-
 def mono_str(m):
     parts = []
     for v, e in m:
         parts.append(f"x{v}" if e == 1 else f"x{v}^{e}")
     return "*".join(parts)
+
+
+def _merge_terms(out, terms):
+    """Add (monomial, coefficient) pairs into the term dict out and return
+    it: a repeated monomial keeps its first place, one that cancels is
+    dropped."""
+    for m, c in terms:
+        if m in out:
+            c = out[m] + c
+        if c.is_zero():
+            out.pop(m, None)
+        else:
+            out[m] = c
+    return out
 
 
 class Poly:
@@ -101,6 +109,11 @@ class Poly:
         if c.is_zero():
             return Poly(c.order, {})
         return Poly(c.order, {(): c})
+
+    @staticmethod
+    def from_terms(order, terms):
+        """The sum of c * m over (monomial m, CycNum c at order) pairs."""
+        return Poly(order, _merge_terms({}, terms))
 
     @staticmethod
     def variable(v, order=1):
@@ -138,17 +151,7 @@ class Poly:
         if not isinstance(other, Poly):
             other = Poly.const(other, self.order)
         a, b = Poly.unify(self, other)
-        terms = dict(a.terms)
-        for m, c in b.terms.items():
-            if m in terms:
-                s = terms[m] + c
-                if s.is_zero():
-                    del terms[m]
-                else:
-                    terms[m] = s
-            else:
-                terms[m] = c
-        return Poly(a.order, terms)
+        return Poly(a.order, _merge_terms(dict(a.terms), b.terms.items()))
 
     __radd__ = __add__
 
@@ -502,7 +505,7 @@ def det_poly_matrix(matrix, cap=DEFAULT_CAP):
         coeffs = [0] * (max(zs) + 1)
         for j, c in zs.items():
             coeffs[j] = c
-        nums = _combine(coeffs, order, 1)
+        nums = _combine(coeffs, order)
         if any(nums):
             mono = []
             for v in variables:
@@ -520,11 +523,8 @@ def parse_poly(text, order=1):
         raise ParseError("empty polynomial literal")
     if s == "0":
         return Poly.zero(order)
-    terms = _split_terms(s, text)
-    total = Poly.zero(order)
-    for sg, term in terms:
-        total = total + _parse_term(term, sg, order, text)
-    return total
+    return Poly.from_terms(order, (_parse_term(term, sg, order, text)
+                                   for sg, term in _split_terms(s, text)))
 
 
 def _split_terms(s, context):
@@ -558,8 +558,8 @@ def _split_terms(s, context):
 
 
 def _parse_term(term, sign, order, context):
+    """(monomial, coefficient) of one signed term."""
     coeff = CycNum.one(order)
-    mono = ()
     rest = term
     if rest.startswith("("):
         close = rest.index(")")
@@ -586,7 +586,6 @@ def _parse_term(term, sign, order, context):
             seen[v] = seen.get(v, 0) + e
         else:
             coeff = coeff * parse_cyc(f, order)
-    mono = tuple(sorted(seen.items()))
     if sign < 0:
         coeff = -coeff
-    return Poly(coeff.order, {mono: coeff}) if not coeff.is_zero() else Poly.zero(order)
+    return tuple(sorted(seen.items())), coeff

@@ -4,7 +4,9 @@ from math import gcd, lcm
 
 import pytest
 
-from frobdet.cyclotomic import CycNum, cyclotomic_polynomial, parse_cyc
+from frobdet.cyclotomic import (CycNum, _combine, _high_powers,
+                               cyclotomic_polynomial, parse_cyc,
+                               power_basis_bound)
 from frobdet.errors import OutOfRange, ParseError
 
 
@@ -244,11 +246,12 @@ def oracle_mul(a, b, order):
     return oracle_reduce(conv, order)
 
 
-def oracle_conj(v):
+def oracle_galois(v, k):
+    """v's coordinates under zeta -> zeta^k."""
     n = v.order
     coeffs = [Fraction(0)] * n
     for j, c in enumerate(oracle_coords(v)):
-        coeffs[(n - j) % n] += c
+        coeffs[j * k % n] += c
     return oracle_reduce(coeffs, n)
 
 
@@ -305,7 +308,7 @@ def test_operations_match_fraction_oracle():
                               (a * b, oracle_mul(a, b, order)),
                               (a.embed(order), oracle_at(a, order)),
                               (b.embed(order), oracle_at(b, order)),
-                              (a.conj(), oracle_conj(a)),
+                              (a.conj(), oracle_galois(a, a.order - 1)),
                               (-a, [-c for c in oracle_coords(a)]),
                               (a * Fraction(-5, 6),
                                [c * Fraction(-5, 6) for c in oracle_coords(a)]),
@@ -357,3 +360,37 @@ def test_arithmetic_builds_no_fraction(monkeypatch):
            a.inverse(), r.inverse()]
     monkeypatch.undo()
     assert got == expected
+
+
+def test_power_table_matches_fraction_oracle():
+    # every reader of the one table of powers z^phi .. z^(N-1)
+    rng = random.Random(37)
+    for n in ORDERS + (7, 11, 22, 97):
+        powers = [oracle_reduce([0] * k + [1], n) for k in range(n)]
+        assert power_basis_bound(n) == max(abs(c) for row in powers
+                                           for c in row)
+        for k in range(-n, 2 * n):
+            got = CycNum.root_of_unity(n, k)
+            assert oracle_coords(check_canonical(got)) == powers[k % n]
+        v = random_value(rng, n)
+        for k in range(1, n):
+            if gcd(k, n) == 1:
+                got = check_canonical(v.galois(k))
+                assert oracle_coords(got) == oracle_galois(v, k)
+        for step in (1, 2, 5):
+            nums = [rng.randint(-4, 4) for _ in range(3 * n + 2)]
+            spread = [0] * ((len(nums) - 1) * step + 1)
+            for j, c in enumerate(nums):
+                spread[j * step] = c
+            assert _combine(nums, n, step) == oracle_reduce(spread, n)
+
+
+def test_one_power_needs_no_table_of_all_powers():
+    # a z literal at a prime order reads one row, phi = N - 1; at 10000,
+    # z is a basis vector and builds no table
+    assert parse_cyc("z", 9973).nums[1] == 1
+    assert power_basis_bound(9973) == 1
+    assert len(_high_powers(9973)) == 1
+    before = _high_powers.cache_info().currsize
+    assert parse_cyc("z", 10000).nums[1] == 1
+    assert _high_powers.cache_info().currsize == before

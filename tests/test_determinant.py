@@ -9,13 +9,14 @@ from frobdet.determinant import (RepMatrix, backnforth_check, cayley_matrix,
                                  factor_group_determinant, frobenius_test,
                                  paratrophic_determinant, transport_basis,
                                  verify_against)
-from frobdet.errors import (FrobdetError, NoZero, NotAbelianWithoutReps,
-                            NotAGroup, NotMultiplicative, RepDimensionMismatch,
+from frobdet.errors import (CocycleDomainMismatch, FrobdetError, NoZero,
+                            NotAbelianWithoutReps, NotAGroup,
+                            NotMultiplicative, RepDimensionMismatch,
                             SingularP, VerificationFailed)
 from frobdet.factorization import (Factorization, checked, equivalent,
                                    lift_zero)
 from frobdet.groupoids import factor_clifford
-from frobdet.nilpotent import factor_nil_adjoined, parse_cocycle
+from frobdet.nilpotent import Cocycle, factor_nil_adjoined, parse_cocycle
 from frobdet.poly import DEFAULT_CAP, Poly, det_poly_matrix, parse_poly
 from frobdet.posets import factor_semilattice
 from frobdet.semigroups import (adjoin_zero, build_family, direct_product,
@@ -47,6 +48,34 @@ def test_contracted_matrix():
     assert thetac == parse_poly("-x1^2")
     with pytest.raises(NoZero):
         cayley_matrix(build_family("zmod_add", 2), mode="contracted")
+
+
+def test_contracted_matrix_is_twisted_by_ones():
+    M = build_family("three_nil", "10,01")  # I, s1, s2, zp, z
+    t, z = M.table, M.zero
+    z4 = CycNum.root_of_unity(4)
+    c = Cocycle.for_monoid(M, {(1, 1): z4, (2, 2): -z4}, order=4)
+    twisted = cayley_matrix(M, "twisted", c)
+    ones = cayley_matrix(M, "twisted", Cocycle.for_monoid(M))
+    contracted = cayley_matrix(M, "contracted")
+    assert twisted.basis == ones.basis == contracted.basis == (0, 1, 2, 3)
+    assert ones.entries == contracted.entries
+    for i, a in enumerate(twisted.basis):
+        for j, b in enumerate(twisted.basis):
+            want = Poly.zero(4) if t[a][b] == z else \
+                Poly.variable(t[a][b], 4).scale(c.value(a, b))
+            assert twisted.entries[i][j] == want
+            assert twisted.entries[i][j].order == 4
+    # errors in order: the mode, then the zero, then the cocycle
+    G = build_family("zmod_add", 2)
+    with pytest.raises(ValueError):
+        cayley_matrix(G, "groupoid", c)
+    with pytest.raises(NoZero):
+        cayley_matrix(G, "twisted")
+    with pytest.raises(CocycleDomainMismatch):
+        cayley_matrix(M, "twisted")
+    with pytest.raises(CocycleDomainMismatch):
+        cayley_matrix(build_family("cyclic_nilpotent", 2), "twisted", c)
 
 
 def test_backnforth_translations():

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from frobdet import linalg, poly
+from frobdet import cli, linalg, poly
 from frobdet.cyclotomic import CycNum
 from frobdet.determinant import cayley_matrix
 from frobdet.errors import (DimensionCap, MissingVariable, NotUnitriangular,
@@ -14,7 +14,7 @@ from frobdet.errors import (DimensionCap, MissingVariable, NotUnitriangular,
 from frobdet.linalg import (cyc_det, cyc_matrix_inverse, det_mod, int_det,
                             unitriangular_inverse)
 from frobdet.factorization import Factorization, verify_factorization
-from frobdet.poly import Poly, det_poly_matrix, mono_cmp, parse_poly
+from frobdet.poly import Poly, det_poly_matrix, parse_poly
 from frobdet.semigroups import build_family
 
 
@@ -29,11 +29,11 @@ def test_monomial_order():
     m_x0sq = ((0, 2),)
     m_x0x1 = ((0, 1), (1, 1))
     m_x1sq = ((1, 2),)
-    assert mono_cmp(m_x0sq, m_x0) > 0
-    assert mono_cmp(m_x0, m_x1) > 0
-    assert mono_cmp(m_x0sq, m_x0x1) > 0
-    assert mono_cmp(m_x0x1, m_x1sq) > 0
-    assert mono_cmp(m_x1, m_x1) == 0
+    assert poly._mono_key(m_x0sq) > poly._mono_key(m_x0)
+    assert poly._mono_key(m_x0) > poly._mono_key(m_x1)
+    assert poly._mono_key(m_x0sq) > poly._mono_key(m_x0x1)
+    assert poly._mono_key(m_x0x1) > poly._mono_key(m_x1sq)
+    assert poly._mono_key(m_x1) == poly._mono_key(m_x1)
 
 
 def _graded_lex_cmp(a, b):
@@ -70,7 +70,6 @@ def test_sort_key_is_graded_lex():
     for a in monos:
         for b in monos:
             want = _graded_lex_cmp(a, b)
-            assert mono_cmp(a, b) == want
             assert (poly._mono_key(a) > poly._mono_key(b)) - \
                 (poly._mono_key(a) < poly._mono_key(b)) == want
 
@@ -123,6 +122,29 @@ def test_parse_examples():
         parse_poly("x0^")
     with pytest.raises(ParseError):
         parse_poly("(z*x0", 3)
+
+
+def test_parse_collects_terms_in_one_dict(monkeypatch):
+    # parsing adds no Poly per term: the terms of a large determinant
+    # go into one dict, and repeats merge in place
+    rows = cayley_matrix(build_family("zmod_add", 9)).entries
+    theta = det_poly_matrix([list(r) for r in rows])
+    text = theta.to_str()
+
+    def refuse(*args):
+        raise AssertionError("Poly.__add__ called while parsing")
+    monkeypatch.setattr(Poly, "__add__", refuse)
+    back = parse_poly(text)
+    merged = [parse_poly("x0+x0-x0"), parse_poly("x0-x0+x1+x0", 3),
+              parse_poly("(z)*x1-x1+(-z)*x1+x1+2", 4)]
+    form = cli.form_poly({"x0": "z", "x1": "1", "1": "-1/2"}, 3)
+    monkeypatch.undo()
+    assert back == theta and back.to_str() == text
+    assert merged == [x(0), x(1) + x(0), Poly.const(2)]
+    assert list(merged[1].terms) == [((1, 1),), ((0, 1),)]
+    assert merged[1].order == 3 and merged[2].order == 4
+    assert form == x(0).scale(CycNum.root_of_unity(3)) + x(1) \
+        - Fraction(1, 2)
 
 
 def test_homogeneity_and_degree():
