@@ -116,10 +116,19 @@ def factorization_lines(F, S):
 
 
 def emit(args, data, lines):
+    """Print data as JSON under --json and lines otherwise. A caller may
+    pass None for the one that is not printed (see rendered)."""
     if args.json:
         print(json.dumps(data, indent=2))
     else:
         print("\n".join(lines))
+
+
+def rendered(args, data_of, lines_of, *inputs):
+    """(data, lines) with only the one that emit prints built."""
+    if args.json:
+        return data_of(*inputs), None
+    return None, lines_of(*inputs)
 
 
 def cmd_validate(args):
@@ -188,15 +197,16 @@ def cmd_det(args):
     elif args.contracted:
         mode = "contracted"
     theta = paratrophic_determinant(S, mode=mode, cocycle=cocycle, cap=args.cap)
+    text = theta.to_str()
     data = {
         "status": "ok",
         "mode": mode,
-        "determinant": theta.to_str(),
+        "determinant": text,
         "cyclotomic_order": theta.order,
         "degree": theta.total_degree(),
         "variables": variables_map(S),
     }
-    lines = [theta.to_str(),
+    lines = [text,
              f"# mode: {mode}",
              f"# order: {theta.order}",
              "# variables: " + " ".join(
@@ -329,9 +339,11 @@ def vanishing_result(S, args, skips):
     notes.append("no factorization theorem applies; "
                  "staged vanishing test only")
     r = frobenius_test(S, seed=args.seed, cap=effective_cap(args, S.n))
+    if not args.json:
+        return None, frobenius_lines(r, S, extra_notes=notes)
     data = frobenius_data(r, S, extra_notes=notes)
     data["provenance"] = None
-    return data, frobenius_lines(r, S, extra_notes=notes)
+    return data, None
 
 
 def checked_factor(S, F, args, mode, cocycle):
@@ -342,27 +354,29 @@ def checked_factor(S, F, args, mode, cocycle):
 
 
 def inverse_result(S, theta, record, args):
+    """(data, lines) of the general inverse route, with only the one that
+    emit prints built. The route checks theta exactly itself."""
     status = "zero" if theta.is_zero() else "frobenius"
     comps = [{"base": S.name_of(b), "n_objects": k, "group_order": g}
              for _, b, k, g in groupoid_structure(S).components]
-    verification = ({"mode": "exact", "rounds": 1, "seed": args.seed}
-                    if record["verified"] == "exact" else None)
-    data = {
-        "status": status,
-        "provenance": "groupoid-mobius",
-        "determinant": theta.to_str(),
-        "cyclotomic_order": theta.order,
-        "groupoid": comps,
-        "verification": verification,
-        "variables": variables_map(S),
-    }
+    verification = {"mode": "exact", "rounds": 1, "seed": args.seed}
+    if args.json:
+        return {
+            "status": status,
+            "provenance": "groupoid-mobius",
+            "determinant": theta.to_str(),
+            "cyclotomic_order": theta.order,
+            "groupoid": comps,
+            "verification": verification,
+            "variables": variables_map(S),
+        }, None
     lines = [f"status: {status}", "provenance: groupoid-mobius",
              f"determinant: {theta.to_str(S.names)}"]
     for c in comps:
         lines.append(f"  component at {c['base']}: {c['n_objects']} objects, "
                      f"isotropy order {c['group_order']}")
     lines.append("verification: " + verification_line(verification))
-    return data, lines
+    return None, lines
 
 
 def cmd_factor(args):
@@ -388,7 +402,8 @@ def cmd_factor(args):
             continue
         if isinstance(answer, Factorization):
             F = checked_factor(S, answer, args, mode, cocycle)
-            data, lines = factorization_data(F, S), factorization_lines(F, S)
+            data, lines = rendered(args, factorization_data,
+                                   factorization_lines, F, S)
         else:
             data, lines = inverse_result(S, *answer, args)
         break

@@ -57,21 +57,25 @@ def _phi(order):
     return len(cyclotomic_polynomial(order)) - 1
 
 
-@lru_cache(maxsize=None)
-def _high_powers(order):
-    """Integer coordinates of z^k mod Phi_order for k in range(phi, order),
-    the powers below order that are not basis vectors. Row k - phi is z^k."""
+def _powers_from_phi(order):
+    """The integer coordinates of z^k mod Phi_order for k = phi, ...,
+    order - 1, the powers below order that are not basis vectors, one new
+    list each, from the recurrence z^(k+1) = z * z^k."""
     phi = cyclotomic_polynomial(order)
     d = len(phi) - 1
-    rows = []
     row = [-c for c in phi[:d]]
     for _ in range(order - d):
-        rows.append(tuple(row))
+        yield row
         top = row[-1]
         row = [0] + row[:-1]
         if top:
             row = [x - top * c for x, c in zip(row, phi)]
-    return tuple(rows)
+
+
+@lru_cache(maxsize=None)
+def _high_powers(order):
+    """The table of _powers_from_phi: row k - phi is z^k."""
+    return tuple(map(tuple, _powers_from_phi(order)))
 
 
 @lru_cache(maxsize=None)
@@ -79,8 +83,9 @@ def power_basis_bound(order):
     """R_order: the largest |coordinate| of z^k mod Phi_order over
     k < order. A polynomial in z with coefficient 1-norm L reduces to
     coordinates of size at most R_order * L, since z^order = 1. The basis
-    vectors contribute 1, and every row of the table is nonzero."""
-    return max((max(map(abs, row)) for row in _high_powers(order)),
+    vectors contribute 1, and every row is nonzero. The rows are taken
+    one at a time and none is kept."""
+    return max((max(map(abs, row)) for row in _powers_from_phi(order)),
                default=1)
 
 
@@ -103,6 +108,18 @@ def _combine(nums, order, step=1):
                 if x:
                     out[i] += c * x
     return out
+
+
+def _product(a, b, order):
+    """Integer coordinates of the product of two lists of integer
+    coordinates, mod Phi_order."""
+    conv = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                if y:
+                    conv[i + j] += x * y
+    return _combine(conv, order)
 
 
 def _repeated_squaring(base, k):
@@ -229,13 +246,8 @@ class CycNum:
         den = a.den * b.den
         if len(a.nums) == 1:
             return CycNum.from_numerators(a.order, (a.nums[0] * b.nums[0],), den)
-        conv = [0] * (2 * len(a.nums) - 1)
-        for i, x in enumerate(a.nums):
-            if x:
-                for j, y in enumerate(b.nums):
-                    if y:
-                        conv[i + j] += x * y
-        return CycNum.from_numerators(a.order, _combine(conv, a.order), den)
+        return CycNum.from_numerators(a.order,
+                                      _product(a.nums, b.nums, a.order), den)
 
     __rmul__ = __mul__
 
@@ -377,7 +389,8 @@ def parse_cyc(text, order=1):
             raise ParseError(f"bad cyclotomic literal {text!r}")
         terms.append((sign, s[i:j]))
         i = j
-    total = CycNum.zero(order)
+    # the coefficient of z^k at position k mod order, reduced once
+    coeffs = [0] * order
     for sg, term in terms:
         if "z" in term:
             if "*" in term:
@@ -393,10 +406,10 @@ def parse_cyc(text, order=1):
                 raise ParseError(f"bad cyclotomic literal {text!r}")
             if order <= 1:
                 raise ParseError(f"power of z needs an order > 1: {text!r}")
-            total = total + CycNum.root_of_unity(order, k) * (sg * coeff)
+            coeffs[k % order] += sg * coeff
         else:
-            total = total + CycNum.from_rational(sg * _parse_rat(term, text), order)
-    return total
+            coeffs[0] += sg * _parse_rat(term, text)
+    return CycNum(order, _combine(coeffs, order))
 
 
 def _parse_rat(s, context):

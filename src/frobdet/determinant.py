@@ -8,9 +8,10 @@ zero row and column, writing 0 where a product hits the zero.
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from math import lcm
 
 from .characters import character_group
-from .cyclotomic import CycNum
+from .cyclotomic import CycNum, _combine, _phi, _product
 from .errors import (CocycleDomainMismatch, NoZero, NotAbelianWithoutReps,
                      NotAGroup, NotMultiplicative, RepDimensionMismatch,
                      SingularP, VerificationFailed)
@@ -80,7 +81,9 @@ def verify_against(S, F, mode="plain", cocycle=None, cap=DEFAULT_CAP,
     """Check F against the plain, contracted or twisted determinant of S
     and attach the record. The check is exact when the matrix dimension is
     within cap and randomized otherwise; a mismatch raises
-    VerificationFailed.
+    VerificationFailed. An exact check first tries the characters F
+    carries (see _character_check) and expands the determinant only when
+    that check does not pass.
 
     A plain F for S with a zero z is checked on the contracted determinant
     instead, when that check is exact and F = x_z * G(x_s - x_z) for some
@@ -90,18 +93,101 @@ def verify_against(S, F, mode="plain", cocycle=None, cap=DEFAULT_CAP,
     if mode == "plain" and S.zero is not None and 1 <= S.n - 1 <= cap:
         G = _unlift_zero(F, S.zero)
         if G is not None:
-            thetac = paratrophic_determinant(S, "contracted", cap=cap)
-            G = checked(thetac, G, mode="exact", seed=seed)
+            G = _exact_check(S, G, "contracted", None, cap, seed)
             return F.with_verification(G.verification)
     dim = S.n if mode == "plain" else S.n - 1
     if dim <= cap:
-        return checked(paratrophic_determinant(S, mode, cocycle, cap), F,
-                       mode="exact", seed=seed)
+        return _exact_check(S, F, mode, cocycle, cap, seed)
     v = random_table_check(S, F, mode, cocycle, seed=seed)
     if not v["equal"]:
         raise VerificationFailed(f"{F.provenance} factorization failed a "
                                  "randomized determinant check")
     return F.with_verification(v)
+
+
+def _exact_check(S, F, mode, cocycle, cap, seed):
+    """F with the record of its exact check: by its characters when that
+    check passes, and otherwise by expanding the determinant."""
+    if _character_check(S, F, mode, seed):
+        return F.with_verification({"equal": True, "mode": "exact",
+                                    "rounds": 0, "seed": seed})
+    return checked(paratrophic_determinant(S, mode, cocycle, cap), F,
+                   mode="exact", seed=seed)
+
+
+def _character_check(S, F, mode, seed, rounds=5):
+    """Whether F is the plain or contracted determinant of S by the
+    characters F carries, decided on integers without Poly or CycNum
+    arithmetic. False when any step fails: the caller then expands.
+
+    theta is the Gram determinant of (a, b) -> x(ab) on the algebra CS,
+    or on C0S = CS/Cz when contracted. Let Phi[s][j] = phi_j(s) for n
+    columns multiplicative on the basis. If F has n linear factors
+    L_i = sum_s c_is x_s of multiplicity 1 and C Phi is monomial, then
+    Phi is invertible, so phi is an algebra isomorphism onto C^n and
+    theta = det(Phi)^2 prod Y_j with x = Phi Y, and each L_i is a nonzero
+    multiple of its own Y_j: theta = k prod L_i for one constant k. The
+    first seeded point where prod L_i is nonzero pins k against one
+    integer determinant. A contracted check reads the columns that vanish
+    at the zero."""
+    if F.status != "factored" or F.characters is None or mode == "twisted":
+        return False
+    t, z = S.table, S.zero
+    basis = [s for s in range(S.n) if mode == "plain" or s != z]
+    order, columns = F.characters
+    if mode == "contracted":
+        columns = [c for c in columns if c[z] is None]
+    n = len(basis)
+    if len(columns) != n or len(F.factors) != n:
+        return False
+    for c in columns:
+        for a in basis:
+            for b in basis:
+                ab = (None if c[a] is None or c[b] is None
+                      else (c[a] + c[b]) % order)
+                if c[t[a][b]] != ab:
+                    return False
+    # each L_i scaled by d_i to the integer coordinates at N of its c_is
+    N = lcm(order, F.constant.order, *(f.order for f, _ in F.factors))
+    phi, step, elements = _phi(N), N // order, set(basis)
+    forms = []
+    for f, m in F.factors:
+        if m != 1 or any(len(x) != 1 or x[0][1] != 1
+                         or x[0][0] not in elements for x in f.terms):
+            return False
+        terms = [(x[0][0], c.embed(N)) for x, c in f.terms.items()]
+        d = lcm(*(c.den for _, c in terms))
+        forms.append((d, [(s, [a * (d // c.den) for a in c.nums])
+                          for s, c in terms]))
+    used = set()
+    for _, terms in forms:
+        hits = []
+        for j, c in enumerate(columns):
+            acc = [0] * (phi + N)
+            for s, nums in terms:
+                if c[s] is not None:
+                    k = c[s] * step
+                    for i, a in enumerate(nums):
+                        acc[k + i] += a
+            if any(_combine(acc, N)):
+                hits.append(j)
+        if len(hits) != 1 or hits[0] in used:
+            return False
+        used.add(hits[0])
+    constant = F.constant.embed(N)
+    for point in random_points(basis, seed, rounds):
+        values = [[sum(point[s] * nums[i] for s, nums in terms)
+                   for i in range(phi)] for _, terms in forms]
+        if all(any(v) for v in values):
+            break
+    else:
+        return False
+    value, scale = list(constant.nums), constant.den
+    for (d, _), v in zip(forms, values):
+        value, scale = _product(value, v, N), scale * d
+    theta = int_det([[0 if t[a][b] == z and mode == "contracted"
+                      else point[t[a][b]] for b in basis] for a in basis])
+    return value == [theta * scale] + [0] * (phi - 1)
 
 
 def _unlift_zero(F, z):
@@ -318,8 +404,8 @@ def factor_group_determinant(G, reps=None):
     other groups a complete list of irreducible representations must be
     supplied; each contributes det(sum_g rho(g) x_g) with multiplicity its
     dimension. The constant is theta's leading coefficient, read off a
-    permutation sign. The answer is not checked here; verify_against
-    checks it.
+    permutation sign. An abelian answer carries its characters. The
+    answer is not checked here; verify_against checks it.
     """
     rep = analyze(G)
     if not rep.is_group:
@@ -329,6 +415,7 @@ def factor_group_determinant(G, reps=None):
             raise NotAbelianWithoutReps(
                 "nonabelian groups need supplied representations")
         chars = character_group(G)
+        characters = (chars[0].order, tuple(chi.exps for chi in chars))
         factors = []
         for chi in chars:
             coeffs = {g: chi.value(g) for g in range(G.n)}
@@ -345,11 +432,12 @@ def factor_group_determinant(G, reps=None):
             raise RepDimensionMismatch(
                 "two supplied representations have identical traces")
         factors = [(_rep_factor(G, r), r.dim) for r in reps]
-        provenance = "frobenius"
+        provenance, characters = "frobenius", None
     F = Factorization.of(CycNum.one(), factors, provenance)
     # Graded lex is a monomial order and every factor has leading
     # coefficient 1, so the constant is the coefficient of x_0^n in theta:
     # the sign of the permutation matrix [g h == 0].
     sign = int_det([[int(G.table[g][h] == 0) for h in range(G.n)]
                     for g in range(G.n)])
-    return replace(F, constant=CycNum.from_rational(sign))
+    return replace(F, constant=CycNum.from_rational(sign),
+                   characters=characters)

@@ -9,7 +9,7 @@ the exact constant. Nothing here is ever a bare sign guess.
 
 import random
 from collections import Counter
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from itertools import accumulate, repeat
 from math import gcd, lcm
@@ -32,6 +32,12 @@ class Factorization:
     provenance: str
     notes: tuple = ()
     verification: dict | None = None
+    # (N, columns): the characters phi_j of an algebra isomorphism
+    # CS -> C^n that a linear route names, each column giving the
+    # exponent of phi_j(s) = z_N^e for every element s, or None where
+    # phi_j(s) = 0. Read only by the exact check, never printed.
+    characters: tuple | None = field(default=None, compare=False,
+                                     repr=False)
 
     @staticmethod
     def zero(provenance, notes=(), order=1):

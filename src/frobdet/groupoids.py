@@ -7,16 +7,17 @@ match. The determinant of S turns into the groupoid determinant after the
 Mobius change of variables y_s = sum_{t <= s} mu(t, s) x_t.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from math import lcm
 
 from . import poly
 from .cyclotomic import CycNum
-from .determinant import factor_group_determinant, paratrophic_determinant
+from .determinant import factor_group_determinant
 from .errors import (DimensionCap, NonabelianWithoutReps, NotApplicable,
                      NotClifford, NotInverse, VerificationFailed)
 from .factorization import Factorization
 from .poly import DEFAULT_CAP, Poly, det_poly_matrix
-from .posets import mobius_forms
+from .posets import forms_of, mobius_forms, natural_order
 from .semigroups import analyze, maximal_subgroup, star_map
 
 
@@ -144,40 +145,62 @@ def groupoid_determinant(S, cap=DEFAULT_CAP):
 
 def inverse_determinant(S, cap=DEFAULT_CAP):
     """The semigroup determinant of an inverse semigroup, computed through
-    the groupoid and the Mobius substitution; checked against the plain
-    symbolic determinant when the size is within cap. An expansion past
-    the cap or the term budget raises NotApplicable.
+    the groupoid and the Mobius substitution, and checked exactly by the
+    groupoid isomorphism (see _check_groupoid_order) at every size. An
+    expansion past the cap or the term budget raises NotApplicable.
 
     Returns (theta, record) where record carries the groupoid determinant
     and the substitution."""
     try:
         gd = groupoid_determinant(S, cap=cap)
-        plain = paratrophic_determinant(S, cap=cap) if S.n <= cap else None
     except DimensionCap as e:
         raise NotApplicable(str(e)) from e
-    sub = mobius_forms(S, "inverse")
+    poset = natural_order(S, "inverse")
+    _check_groupoid_order(S, poset.leq)
+    sub = forms_of(poset)
     theta = gd.substitute(sub)
-    if plain is not None and plain != theta:
-        raise VerificationFailed(
-            "groupoid route disagrees with the plain determinant")
     record = {"groupoid_determinant": gd, "substitution": sub,
-              "verified": "skipped" if plain is None else "exact"}
+              "verified": "exact"}
     return theta, record
+
+
+def _check_groupoid_order(S, leq):
+    """Raise VerificationFailed unless, for all s and t, (g, h) -> gh maps
+    {(g, h) : g <= s, h <= t, dom g = ran h} one to one onto {u <= st},
+    where leq[a][b] means a <= b. Then the groupoid matrix X_G(y) and the
+    semigroup matrix satisfy X_S = Z X_G(y) Z^T, with Z[s][g] = [g <= s]
+    unitriangular and x_s = sum_{u <= s} y_u, so theta_S(x) = theta_G(y)
+    exactly (Steinberg, "Mobius functions and semigroup representation
+    theory", JCTA 2006)."""
+    n, t, star = S.n, S.table, star_map(S)
+    below = [[u for u in range(n) if leq[u][s]] for s in range(n)]
+    dom = [t[star[s]][s] for s in range(n)]
+    ran = [t[s][star[s]] for s in range(n)]
+    for s in range(n):
+        for r in range(n):
+            images = sorted(t[g][h] for g in below[s] for h in below[r]
+                            if dom[g] == ran[h])
+            if images != below[t[s][r]]:
+                raise VerificationFailed(
+                    "groupoid route: the products below "
+                    f"{S.name_of(s)} and {S.name_of(r)} are not the "
+                    f"elements below {S.name_of(t[s][r])}")
 
 
 def factor_clifford(S, reps_by_idempotent=None):
     """Factor the determinant of a Clifford semigroup (inverse with
     central idempotents): one group determinant per idempotent, in the
-    Mobius variables."""
+    Mobius variables. Over abelian groups the answer carries the
+    characters phi_{e, chi}."""
     g = groupoid_of(S)  # raises NotInverse when S is not inverse
     if not analyze(S).central_idempotents:
         raise NotClifford("idempotents are not central")
     for s in range(S.n):
         assert g.dom[s] == g.ran[s]  # forced by centrality
     sub = mobius_forms(S, "inverse")
+    t = S.table
     constant = CycNum.one()
-    factors = []
-    notes = []
+    factors, notes, columns = [], [], []
     for e in g.objects:
         G, ids = maximal_subgroup(S, e)
         grep = analyze(G)
@@ -194,4 +217,19 @@ def factor_clifford(S, reps_by_idempotent=None):
         for f, m in FG.factors:
             factors.append((f.substitute(remap), m))
         notes.append(f"group of order {G.n} at {S.name_of(e)}")
-    return Factorization.of(constant, factors, "clifford-mobius", notes)
+        if FG.characters is None or columns is None:
+            columns = None
+            continue
+        # phi_{e, chi}(s) = chi(se) when e <= s*s, and 0 otherwise
+        k, chars = FG.characters
+        where = {u: j for j, u in enumerate(ids)}
+        columns += [(k, tuple(chi[where[t[s][e]]] if t[e][g.dom[s]] == e
+                              else None for s in range(S.n)))
+                    for chi in chars]
+    F = Factorization.of(constant, factors, "clifford-mobius", notes)
+    if columns is None:
+        return F
+    N = lcm(1, *(k for k, _ in columns))
+    return replace(F, characters=(N, tuple(
+        tuple(None if x is None else x * (N // k) for x in chi)
+        for k, chi in columns)))

@@ -7,7 +7,7 @@ Mobius change of variables, in the natural order of an inverse or a
 commutative semigroup, serves the groupoid and commutative routes.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from math import gcd
 
 from .cyclotomic import CycNum
@@ -146,25 +146,34 @@ def mobius_forms(S, mode):
     groupoid determinant to the semigroup one; for a commutative semigroup
     they pull the local contracted determinants back to S.
     """
-    poset = natural_order(S, mode)
+    return forms_of(natural_order(S, mode))
+
+
+def forms_of(poset):
+    """The Mobius forms y_s = sum_{t <= s} mu(t, s) x_t of a poset."""
     mu = mobius(poset)
     return {s: LinForm.make({t: CycNum.from_rational(mu[t][s])
                              for t in poset.down_set(s)
                              if mu[t][s] != 0}).to_poly()
-            for s in range(S.n)}
+            for s in range(poset.n)}
 
 
 def factor_semilattice(S):
     """Factor the determinant of a finite semilattice.
 
     Raises NotSemilattice unless S is commutative and idempotent. The
-    answer is not checked here; verify_against checks it.
+    answer carries the characters phi_e(s) = [se = e]. It is not checked
+    here; verify_against checks it.
     """
     if not analyze(S).is_semilattice:
         raise NotSemilattice("semigroup is not a commutative band")
     forms = mobius_forms(S, "semilattice")
-    return Factorization.of(CycNum.one(), [(f, 1) for f in forms.values()],
-                            "wilf-lindstrom")
+    F = Factorization.of(CycNum.one(), [(f, 1) for f in forms.values()],
+                         "wilf-lindstrom")
+    t = S.table
+    return replace(F, characters=(1, tuple(
+        tuple(0 if t[s][e] == e else None for s in range(S.n))
+        for e in range(S.n))))
 
 
 def smith_matrix(n):

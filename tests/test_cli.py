@@ -142,9 +142,10 @@ def test_raised_cap_stops_at_the_term_budget():
 
 
 def test_a_check_error_is_not_a_skipped_route(monkeypatch):
-    # the Clifford answer's exact check runs past the term budget: the
-    # error ends the request, and the determinant is expanded once, at
-    # dimension n - 1 since S has a zero
+    # the commutative answer of zmult 8 carries no characters, and its
+    # exact check runs past the term budget: the error ends the request,
+    # and the determinant is expanded once, at dimension n - 1 since S has
+    # a zero
     calls = []
 
     def counting(*args, **kwargs):
@@ -154,10 +155,9 @@ def test_a_check_error_is_not_a_skipped_route(monkeypatch):
     paratrophic_determinant = determinant.paratrophic_determinant
     monkeypatch.setattr(determinant, "paratrophic_determinant", counting)
     monkeypatch.setattr(poly, "TERM_BUDGET", 40)
-    sgp = emit_sgp(adjoin_zero(build_family("zmod_add", 5)))
-    code, out, err = run_cli(["factor", "-"], stdin=sgp)
+    code, out, err = run_cli(["factor", "-"], stdin=emit_sgp(zmult(8)))
     assert (code, out) == (1, "")
-    assert err == ("error: symbolic determinant of dimension 5 exceeds the "
+    assert err == ("error: symbolic determinant of dimension 7 exceeds the "
                    "budget of 40 terms\n")
     assert len(calls) == 1
 
@@ -185,7 +185,9 @@ def test_the_exact_check_has_a_term_budget(monkeypatch, tmp_path):
 
 def test_the_exact_check_does_no_poly_or_field_arithmetic(monkeypatch,
                                                           tmp_path):
-    # the check multiplies F out modulo primes on packed integer keys
+    # the check by characters works on integer coordinates, and the
+    # expansion check multiplies F out modulo primes on packed integer
+    # keys
     S = build_family("zmod_add", 6)
     det, fact = det_and_factorization(tmp_path, S)
     checks = []
@@ -204,15 +206,23 @@ def test_the_exact_check_does_no_poly_or_field_arithmetic(monkeypatch,
         return run_check
 
     monkeypatch.setattr(determinant, "checked", guarded(determinant.checked))
+    monkeypatch.setattr(determinant, "_character_check",
+                        guarded(determinant._character_check))
     monkeypatch.setattr(cli, "verify_factorization",
                         guarded(cli.verify_factorization))
     code, out, err = run_cli(["factor", "-", "--exact"], stdin=emit_sgp(S))
     assert (code, err) == (0, "")
     assert "verification: exact" in out.splitlines()
+    # an answer without characters: the first check declines at once
+    code, out, err = run_cli(["factor", "-", "--exact"],
+                             stdin=emit_sgp(zmult(8)))
+    assert (code, err) == (0, "")
+    assert "verification: exact" in out.splitlines()
     code, out, err = run_cli(["verify", det, fact])
     assert (code, out, err) == (0, "status: verified\nverification: exact\n",
                                 "")
-    assert checks == ["checked", "verify_factorization"]
+    assert checks == ["_character_check", "_character_check", "checked",
+                      "verify_factorization"]
 
 
 def test_factor_scans_for_weak_inverses_once(monkeypatch):
@@ -364,9 +374,17 @@ def test_each_factor_request_checks_its_answer_once(monkeypatch, tmp_path):
         dims.append(len(mat))
         return det_poly_matrix(mat, *args, **kwargs)
 
+    def by_characters(*args, **kwargs):
+        passed = character_check(*args, **kwargs)
+        if passed:
+            outcomes.append("exact")
+        return passed
+
     det_poly_matrix = determinant.det_poly_matrix
+    character_check = determinant._character_check
     monkeypatch.setattr(determinant, "checked",
                         counting("exact", determinant.checked))
+    monkeypatch.setattr(determinant, "_character_check", by_characters)
     monkeypatch.setattr(determinant, "random_table_check",
                         counting("randomized",
                                  determinant.random_table_check))
@@ -379,23 +397,27 @@ def test_each_factor_request_checks_its_answer_once(monkeypatch, tmp_path):
 
     twist = tmp_path / "twist.coc"
     twist.write_text("order 4\ns1 s1 z\n")
+    # (argv, outcome, whether the check expands a determinant)
     requests = [
-        ([table("gcd6", build_family("gcd", 6))], "exact"),
-        ([table("zmod4", build_family("zmod_add", 4))], "exact"),
-        ([table("z5z", adjoin_zero(build_family("zmod_add", 5)))], "exact"),
-        ([table("zmult27", zmult(27))], "randomized"),
-        ([table("zmult8", zmult(8))], "exact"),
-        ([WENGER, "--contracted"], "exact"),
+        ([table("gcd6", build_family("gcd", 6))], "exact", False),
+        ([table("zmod4", build_family("zmod_add", 4))], "exact", False),
+        ([table("z5z", adjoin_zero(build_family("zmod_add", 5)))], "exact",
+         False),
+        ([table("zmult27", zmult(27))], "randomized", False),
+        ([table("zmult8", zmult(8))], "exact", True),
+        ([WENGER, "--contracted"], "exact", True),
         ([table("three_nil", build_family("three_nil", "10,01")),
-          "--twist", str(twist)], "exact"),
-        ([table("cn10", build_family("cyclic_nilpotent", 10))], "exact"),
+          "--twist", str(twist)], "exact", True),
+        ([table("cn10", build_family("cyclic_nilpotent", 10))], "exact",
+         True),
     ]
-    for argv, mode in requests:
+    for argv, mode, expands in requests:
         outcomes.clear()
         dims.clear()
         code, _, err = run_cli(["factor", *argv])
         assert code == 0, err
         assert outcomes == [mode], argv
+        assert bool(dims) == expands, argv
     # the plain nilpotent answer is checked on the contracted determinant
     assert dims == [10]
 
@@ -886,3 +908,59 @@ def test_fuzzed_inputs_end_in_an_exit_code_and_one_line(tmp_path):
     finally:
         signal.signal(signal.SIGALRM, saved)
     assert not failures, f"{len(failures)} failures, first: {failures[0]!r}"
+
+
+def test_answers_are_checked_exactly_without_expanding_theta(monkeypatch):
+    # rook 2 under cap 5: the groupoid check is exact at every size;
+    # zmod_add 13 under --exact: checked by its characters, where
+    # expanding theta would pass the term budget
+    def refuse(*args, **kwargs):
+        raise AssertionError("plain determinant expanded")
+    monkeypatch.setattr(determinant, "cayley_matrix", refuse)
+    sgp = emit_sgp(build_family("rook", 2))
+    code, out, err = run_cli(["factor", "-", "--cap", "5"], stdin=sgp)
+    assert (code, err) == (0, "")
+    assert out.splitlines()[-1] == "verification: exact"
+    sgp = emit_sgp(build_family("zmod_add", 13))
+    code, out, err = run_cli(["factor", "-", "--exact", "--json"], stdin=sgp)
+    assert (code, err) == (0, "")
+    data = json.loads(out)
+    assert data["provenance"] == "dedekind" and len(data["factors"]) == 13
+    assert data["verification"] == {"equal": True, "mode": "exact",
+                                    "rounds": 0, "seed": 0}
+
+
+def test_a_request_renders_only_what_it_prints(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("output built and not printed")
+
+    sgp = emit_sgp(build_family("zmod_add", 4))
+    for flags, unused in (([], "factorization_data"),
+                          (["--json"], "factorization_lines")):
+        with monkeypatch.context() as m:
+            m.setattr(cli, unused, refuse)
+            assert run_cli(["factor", "-", *flags], stdin=sgp)[0] == 0
+    for flags, unused in (([], "frobenius_data"),
+                          (["--json"], "frobenius_lines")):
+        with monkeypatch.context() as m:
+            m.setattr(cli, unused, refuse)
+            code, out, _ = run_cli(["factor", "-", *flags],
+                                   stdin=emit_sgp(build_family("left_zero",
+                                                               2)))
+            assert code == 0 and "not_frobenius" in out
+    # theta of rook 2 has 238 terms: each request writes it once
+    written = []
+
+    def counting(p, *args):
+        if len(p.terms) == 238:
+            written.append(args)
+        return to_str(p, *args)
+
+    to_str = Poly.to_str
+    monkeypatch.setattr(Poly, "to_str", counting)
+    rook = emit_sgp(build_family("rook", 2))
+    for argv in (["factor", "-"], ["factor", "-", "--json"], ["det", "-"],
+                 ["det", "-", "--json"]):
+        written.clear()
+        assert run_cli(argv, stdin=rook)[0] == 0
+        assert len(written) == 1, argv

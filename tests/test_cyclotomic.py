@@ -394,3 +394,38 @@ def test_one_power_needs_no_table_of_all_powers():
     before = _high_powers.cache_info().currsize
     assert parse_cyc("z", 10000).nums[1] == 1
     assert _high_powers.cache_info().currsize == before
+
+
+def test_the_bound_keeps_no_table():
+    # R_N is the largest row maximum, taken one row at a time (the
+    # Fraction oracle checks its values above)
+    before = _high_powers.cache_info().currsize
+    assert power_basis_bound.__wrapped__(10000) >= 1
+    assert _high_powers.cache_info().currsize == before
+
+
+def test_a_long_literal_is_parsed_in_one_reduction(monkeypatch):
+    # order 9973 is prime: z^k is a basis vector for k < 9972, and
+    # z^9972 = -(1 + z + ... + z^9971)
+    n, rng = 9973, random.Random(41)
+    terms = [(rng.choice([1, 9972, rng.randrange(2 * n)]),
+              Fraction(rng.randint(-9, 9) or 1, rng.randint(1, 4)))
+             for _ in range(2000)]
+    text = "".join(f"{'-' if c < 0 else '+'}{abs(c)}*z^{k}"
+                   for k, c in terms) + "-7/3"
+    coords, top = [Fraction(0)] * (n - 1), Fraction(0)
+    coords[0] -= Fraction(7, 3)
+    for k, c in terms:
+        if k % n == n - 1:
+            top += c
+        else:
+            coords[k % n] += c
+    coords = [x - top for x in coords]
+
+    def refuse(*args):
+        raise AssertionError("CycNum arithmetic while parsing")
+    for name in ("__add__", "__radd__", "__mul__", "__rmul__"):
+        monkeypatch.setattr(CycNum, name, refuse)
+    got = parse_cyc(text, n)
+    monkeypatch.undo()
+    assert check_canonical(got) == CycNum(n, coords)

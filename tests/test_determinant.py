@@ -1,3 +1,4 @@
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -14,8 +15,10 @@ from frobdet.errors import (CocycleDomainMismatch, FrobdetError, NoZero,
                             NotMultiplicative, RepDimensionMismatch,
                             SingularP, VerificationFailed)
 from frobdet.factorization import (Factorization, checked, equivalent,
-                                   lift_zero)
+                                   lift_zero, random_points,
+                                   random_table_check)
 from frobdet.groupoids import factor_clifford
+from frobdet.linalg import int_det
 from frobdet.nilpotent import Cocycle, factor_nil_adjoined, parse_cocycle
 from frobdet.poly import DEFAULT_CAP, Poly, det_poly_matrix, parse_poly
 from frobdet.posets import factor_semilattice
@@ -351,7 +354,9 @@ def plain_answer(S):
 def test_a_plain_answer_with_a_zero_is_checked_at_n_minus_1(
         monkeypatch, commutative_tables):
     # theta = x_z * thetac(x_s - x_z): the record of the contracted check
-    # is the record of the plain one, and only thetac is expanded
+    # is the record of the plain one. An answer that carries characters is
+    # checked by them on C0S and expands nothing; otherwise only thetac is
+    # expanded
     tables = [S for n in (2, 3, 4) for S in commutative_tables[n]]
     tables += [build_family("gcd", 8), zmult(6), zmult(8), wenger_monoid(),
                adjoin_zero(build_family("zmod_add", 5)),
@@ -366,7 +371,7 @@ def test_a_plain_answer_with_a_zero_is_checked_at_n_minus_1(
         count += 1
         modes.clear()
         translated = verify_against(S, F).verification
-        assert modes == ["contracted"]
+        assert modes == ([] if F.characters else ["contracted"])
         assert translated == checked(paratrophic_determinant(S), F).verification
         thetac = paratrophic_determinant(S, "contracted")
         Fc = (Factorization.zero("thetac") if thetac.is_zero()
@@ -408,14 +413,165 @@ def test_a_plain_answer_of_another_shape_is_checked_on_theta(monkeypatch):
 
 
 def test_randomized_and_tiny_checks_stay_plain(monkeypatch):
-    # n - 1 = 0, or n - 1 above the cap: today's check on theta
+    # n - 1 = 0, or n - 1 above the cap: the check is on theta, by the
+    # characters of CS when exact, and a wrong answer is expanded on
+    # theta, never on thetac
     for n, cap in ((1, DEFAULT_CAP), (1, 0), (2, 0)):
         S = build_family("gcd", n)
         F = plain_answer(S)
-        wrong = Factorization.of(2, F.factors, F.provenance)
+        wrong = replace(F, constant=CycNum.from_rational(2))
         modes = expanded_modes(monkeypatch)
         record = verify_against(S, F, cap=cap).verification
         assert record["mode"] == ("exact" if cap else "randomized")
-        assert modes == (["plain"] if cap else [])
+        assert modes == []
         with pytest.raises(VerificationFailed):
             verify_against(S, wrong, cap=cap)
+        assert modes == (["plain"] if cap else [])
+
+
+def character_corpus(commutative_tables):
+    """Every corpus table within the cap whose answer carries characters,
+    with some that have none."""
+    tables = [S for n in (1, 2, 3, 4) for S in commutative_tables[n]]
+    tables += [build_family("gcd", n) for n in range(2, 13)]
+    tables += [build_family("zmod_add", n) for n in range(1, 13)]
+    tables += [adjoin_zero(build_family("zmod_add", n)) for n in range(1, 12)]
+    return tables + [zmult(6), zmult(10)]
+
+
+def character_answers(tables):
+    """(S, F) for each table whose answer, from the first of the
+    semilattice, abelian group and Clifford routes that applies, carries
+    characters."""
+    for S in tables:
+        for route in (factor_semilattice, factor_group_determinant,
+                      factor_clifford):
+            try:
+                F = route(S)
+            except FrobdetError:
+                continue
+            if F.characters is not None:
+                yield S, F
+            break
+
+
+def refuse(*args, **kwargs):
+    raise AssertionError("determinant expanded")
+
+
+def test_the_character_check_agrees_with_the_expansion(monkeypatch,
+                                                       commutative_tables):
+    count = 0
+    for S, F in character_answers(character_corpus(commutative_tables)):
+        count += 1
+        seed = S.n
+        with monkeypatch.context() as m:
+            m.setattr(determinant, "paratrophic_determinant", refuse)
+            record = verify_against(S, F, seed=seed).verification
+        dim = S.n - 1 if S.zero is not None else S.n
+        if F.provenance != "wilf-lindstrom" and dim >= 11:
+            # expanding theta takes seconds to minutes here (zmod_add 11
+            # and 12, adjoin_zero(zmod_add 11)): the record is the one the
+            # expansion gives a right answer, and the answer agrees with
+            # theta at random points
+            assert record == {"equal": True, "mode": "exact", "rounds": 0,
+                              "seed": seed}
+            assert random_table_check(S, F, seed=seed)["equal"]
+            continue
+        with monkeypatch.context() as m:
+            m.setattr(determinant, "_character_check", lambda *args: False)
+            assert verify_against(S, F, seed=seed).verification == record
+    assert count > 300
+
+
+def corruptions(F):
+    """F with one coefficient changed, with its constant changed, with a
+    factor dropped and with a multiplicity doubled; each keeps F's
+    characters."""
+    (f, m), rest = F.factors[-1], F.factors[:-1]
+    x, c = next(iter(f.terms.items()))
+    changed = Poly(f.order, {**f.terms, x: c + 1})
+    return {
+        "coefficient": replace(F, factors=rest + ((changed, m),)),
+        "constant": replace(F, constant=F.constant * 2),
+        "dropped": replace(F, factors=rest),
+        "doubled": replace(F, factors=rest + ((f, 2 * m),)),
+    }
+
+
+def test_a_corrupted_answer_fails_the_character_check(monkeypatch,
+                                                      commutative_tables):
+    passed = []
+
+    def spying(*args, **kwargs):
+        passed.append(character_check(*args, **kwargs))
+        return passed[-1]
+
+    character_check = determinant._character_check
+    monkeypatch.setattr(determinant, "_character_check", spying)
+    tables = [S for n in (1, 2, 3, 4) for S in commutative_tables[n]]
+    tables += [build_family("gcd", 6), build_family("zmod_add", 4),
+               build_family("zmod_add", 6), zmult(6), zmult(10),
+               adjoin_zero(build_family("zmod_add", 3))]
+    answers = list(character_answers(tables))
+    assert len(answers) > 100
+    for S, F in answers:
+        for name, wrong in corruptions(F).items():
+            passed.clear()
+            with pytest.raises(VerificationFailed):
+                verify_against(S, wrong)
+            assert passed and not any(passed), (S.table, name)
+
+
+def test_a_column_that_is_not_multiplicative_falls_through(monkeypatch):
+    for S, route in ((build_family("zmod_add", 4), factor_group_determinant),
+                     (build_family("gcd", 6), factor_semilattice)):
+        F = route(S)
+        order, columns = F.characters
+        bad = list(columns[1])
+        bad[1] = 0 if bad[1] is None else None
+        G = replace(F, characters=(order, (columns[0], tuple(bad))
+                                   + columns[2:]))
+        assert not determinant._character_check(S, G, "plain", 0)
+        modes = expanded_modes(monkeypatch)
+        assert verify_against(S, G).verification == \
+            verify_against(S, F).verification
+        assert modes == ["contracted" if S.zero is not None else "plain"]
+
+
+def forged(S, forms, characters, seed=0):
+    """A wrong answer with the given rational linear factors, each of
+    multiplicity 1, whose constant makes it agree with theta at the first
+    seeded point where no factor vanishes."""
+    factors = tuple((parse_poly(f), 1) for f in forms)
+    t = S.table
+    for point in random_points(range(S.n), seed, 5):
+        values = [f.evaluate(point).as_fraction() for f, _ in factors]
+        if all(values):
+            break
+    value = Fraction(int_det([[point[t[a][b]] for b in range(S.n)]
+                              for a in range(S.n)]))
+    for v in values:
+        value /= v
+    return Factorization("factored", CycNum.from_rational(value), factors,
+                         "forged", characters=characters)
+
+
+def test_each_step_of_the_character_check_rejects_a_forgery():
+    # theta of Z/2 is x0^2 - x1^2 = (x0 + x1)(x0 - x1); each forgery
+    # agrees with theta at the point that pins the constant, and only the
+    # named step tells it apart
+    S = build_family("zmod_add", 2)
+    characters = (2, ((0, 0), (0, 1)))
+    forgeries = {
+        "columns not multiplicative": forged(
+            S, ["x0", "x1"], (1, ((0, None), (None, 0)))),
+        "two factors on one column": forged(
+            S, ["x0+x1", "x0+x1"], characters),
+        "a factor on two columns": forged(S, ["x0", "x0-x1"], characters),
+        "fewer factors than columns": forged(S, ["x0+x1"], characters),
+    }
+    for name, F in forgeries.items():
+        assert not determinant._character_check(S, F, "plain", 0), name
+        with pytest.raises(VerificationFailed):
+            verify_against(S, F)

@@ -1,13 +1,15 @@
 import pytest
 
-from frobdet import poly
+from frobdet import determinant, poly
 from frobdet.determinant import paratrophic_determinant, verify_against
-from frobdet.errors import DimensionCap, NotApplicable, NotClifford, NotInverse
-from frobdet.groupoids import (connected_components, factor_clifford,
-                               groupoid_determinant, groupoid_of,
+from frobdet.errors import (DimensionCap, NotApplicable, NotClifford,
+                            NotInverse, VerificationFailed)
+from frobdet.groupoids import (_check_groupoid_order, connected_components,
+                               factor_clifford, groupoid_determinant,
+                               groupoid_of,
                                groupoid_structure, inverse_determinant,
                                is_inverse, star_map)
-from frobdet.posets import mobius_forms
+from frobdet.posets import mobius_forms, natural_order
 from frobdet.semigroups import (adjoin_zero, build_family, direct_product,
                                 validate_table)
 
@@ -152,3 +154,43 @@ def test_mobius_forms_group_trivial():
     sub = mobius_forms(G, "inverse")
     for s in range(3):
         assert sub[s].to_str() == f"x{s}"
+
+
+def test_the_groupoid_order_check_accepts_inverse_semigroups():
+    for S in (build_family("rook", 2), build_family("rook", 3),
+              build_family("chain_semilattice", 4),
+              build_family("zmod_add", 6)):
+        _check_groupoid_order(S, natural_order(S, "inverse").leq)
+
+
+def test_a_corrupted_order_fails_the_groupoid_check():
+    for S in (build_family("rook", 2), build_family("rook", 3),
+              build_family("chain_semilattice", 4),
+              build_family("zmod_add", 6)):
+        leq = natural_order(S, "inverse").leq
+        pairs = [(a, b) for a in range(S.n) for b in range(S.n) if a != b]
+        # drop the first strict relation, or relate two group elements
+        a, b = next(((a, b) for a, b in pairs if leq[a][b]), (1, 0))
+        bad = [list(row) for row in leq]
+        bad[a][b] = not bad[a][b]
+        with pytest.raises(VerificationFailed):
+            _check_groupoid_order(S, bad)
+    # relating both elements of Z/2 each way makes (g, h) -> gh onto but
+    # two to one
+    with pytest.raises(VerificationFailed):
+        _check_groupoid_order(build_family("zmod_add", 2),
+                              [[True, True], [True, True]])
+
+
+def test_the_inverse_route_expands_no_plain_determinant(monkeypatch):
+    # rook 2 under cap 5: the blocks fit, theta (dimension 7) does not,
+    # and the check is exact
+    S = build_family("rook", 2)
+    theta = paratrophic_determinant(S)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("plain determinant expanded")
+    monkeypatch.setattr(determinant, "cayley_matrix", refuse)
+    got, record = inverse_determinant(S, cap=5)
+    assert record["verified"] == "exact"
+    assert got == theta
