@@ -44,25 +44,34 @@ class Character:
                                for a, b in zip(self.exps, other.exps)))
 
 
+def _close(G, values, g, N):
+    """Extend values (element -> exponent mod N), a homomorphism on a
+    subgroup H of the abelian G plus a value at g, in place along the
+    edges s -> s*g, checking values[s*g] = values[s] + values[g] on each.
+    Returns the map on H<g>, or None on a conflict. Each element of H<g>
+    is some a*g^i with a in H, and the checks give it a + i*values[g]
+    whichever way it is written, so the map is a homomorphism."""
+    queue, x = list(values), values[g]
+    for s in queue:
+        p, e = G.table[s][g], (values[s] + x) % N
+        if p not in values:
+            values[p] = e
+            queue.append(p)
+        elif values[p] != e:
+            return None
+    return values
+
+
 def _greedy_generators(G):
-    """Least-index elements extending the generated subgroup, with the
-    subgroup snapshots before each extension."""
-    span = {G.identity}
+    """Least-index elements, each outside the subgroup spanned by the
+    ones before it, until they span the abelian G."""
     gens = []
-    spans = []
+    span = {G.identity: 0}
     while len(span) < G.n:
-        g = min(s for s in range(G.n) if s not in span)
-        spans.append(frozenset(span))
-        gens.append(g)
-        # close span under multiplication by the enlarged generating set
-        frontier = set(span) | {g}
-        while True:
-            new = {G.table[a][b] for a in frontier for b in frontier} - frontier
-            if not new:
-                break
-            frontier |= new
-        span = frontier
-    return gens, spans
+        gens.append(min(s for s in range(G.n) if s not in span))
+        # modulo 1 every value is 0 and no edge conflicts
+        span = _close(G, span | {gens[-1]: 0}, gens[-1], 1)
+    return gens
 
 
 def character_group(G):
@@ -77,28 +86,8 @@ def character_group(G):
     if not rep.is_commutative:
         raise NotAbelian("character group needs an abelian group")
     N = group_exponent(G)
-    gens, _ = _greedy_generators(G)
+    gens = _greedy_generators(G)
     found = []
-
-    def close(exps):
-        """Propagate multiplicativity from the assigned elements; returns
-        the completed map or None on conflict."""
-        exps = dict(exps)
-        changed = True
-        while changed:
-            changed = False
-            known = list(exps.items())
-            for a, ea in known:
-                for b, eb in known:
-                    p = G.table[a][b]
-                    e = (ea + eb) % N
-                    if p in exps:
-                        if exps[p] != e:
-                            return None
-                    else:
-                        exps[p] = e
-                        changed = True
-        return exps
 
     def assign(i, exps):
         if i == len(gens):
@@ -109,9 +98,7 @@ def character_group(G):
         k = element_order(G, g)
         step = N // k
         for t in range(k):
-            trial = dict(exps)
-            trial[g] = t * step
-            closed = close(trial)
+            closed = _close(G, exps | {g: t * step}, g, N)
             if closed is not None:
                 assign(i + 1, closed)
 

@@ -11,7 +11,6 @@ import random
 from collections import Counter
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from itertools import accumulate, repeat
 from math import gcd, lcm
 
 from . import poly
@@ -186,21 +185,36 @@ def _randomized_record(F, other, variables, reduction, seed, rounds):
             "seed": seed}
 
 
+def _unit_generators(order):
+    """Units mod order, each outside the subgroup that the ones before it
+    generate, until they generate every unit."""
+    gens, span = [], {1 % order}
+    for k in range(2, order):
+        if gcd(k, order) == 1 and k not in span:
+            gens.append(k)
+            # span * <k> as the union of the cosets span * k^i, which are
+            # disjoint or equal
+            coset = span
+            while (coset := {x * k % order for x in coset}).isdisjoint(span):
+                span = span | coset
+    return gens
+
+
 def _galois_closed(factors, order):
     """Whether every automorphism zeta -> zeta^k of Q(zeta_order) permutes
-    the factors with their multiplicities, compared on canonical strings."""
+    the factors with their multiplicities, compared on canonical strings.
+    The automorphisms of a generating set of the units suffice."""
     factors = [(f.at_order(order), m) for f, m in factors]
     counts = Counter()
     for f, m in factors:
         counts[f.to_str()] += m
-    for k in range(2, order):
-        if gcd(k, order) == 1:
-            image = Counter()
-            for f, m in factors:
-                image[Poly(order, {x: c.galois(k) for x, c in f.terms.items()})
-                      .to_str()] += m
-            if image != counts:
-                return False
+    for k in _unit_generators(order):
+        image = Counter()
+        for f, m in factors:
+            image[Poly(order, {x: c.galois(k) for x, c in f.terms.items()})
+                  .to_str()] += m
+        if image != counts:
+            return False
     return True
 
 
@@ -274,14 +288,21 @@ def _expands_to(reference, F, degree):
         and _galois_closed(F.factors, order))
     bound = product * (1 if one_root else power_basis_bound(order)) + max(
         [abs(a) for _, c in target for _, a in c], default=0)
+    # the powers of zeta that some coordinate uses, in increasing order
+    exponents = sorted({t for t, _ in constant}
+                       | {t for _, c in target for t, _ in c}
+                       | {t for terms, _ in factors
+                          for _, c in terms for t, _ in c})
     modulus, i = 1, 0
     while modulus <= 2 * bound:
         p, w = fixed_prime(order, i)
         roots = [w] if one_root else [pow(w, k, p) for k in range(order)
                                       if gcd(k, order) == 1]
         for r in roots:
-            pw = list(accumulate(repeat(r, phi - 1),
-                                 lambda x, y: x * y % p, initial=1))
+            pw, x, prev = {}, 1, 0
+            for t in exponents:
+                x = x * pow(r, t - prev, p) % p
+                pw[t], prev = x, t
 
             def image(c):
                 return sum([a * pw[t] for t, a in c]) % p

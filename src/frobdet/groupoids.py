@@ -88,10 +88,11 @@ class GroupoidStructure:
     total_arrows: int
 
 
-def groupoid_structure(S):
+def groupoid_structure(S, g=None):
     """Connected components with their isotropy groups; the arrow count
-    identity sum n_i^2 |G_i| = |S| is asserted."""
-    g = groupoid_of(S)
+    identity sum n_i^2 |G_i| = |S| is asserted. g is the groupoid of S,
+    built here when not given."""
+    g = groupoid_of(S) if g is None else g
     comps = connected_components(g)
     infos = []
     total = 0
@@ -118,14 +119,15 @@ def _component_blocks(g):
     return blocks
 
 
-def groupoid_determinant(S, cap=DEFAULT_CAP):
+def groupoid_determinant(S, cap=DEFAULT_CAP, g=None):
     """Determinant of the groupoid matrix: entry (a, b) is x_{ab} when
     dom(a) = ran(b) and 0 otherwise. Block diagonal over the connected
     components, so the determinant is a product over components. The
     blocks have disjoint variables, so a product of blocks with a and b
     terms has a*b terms; past poly.TERM_BUDGET it raises DimensionCap
-    before multiplying."""
-    g = groupoid_of(S)
+    before multiplying. g is the groupoid of S, built here when not
+    given."""
+    g = groupoid_of(S) if g is None else g
     det = Poly.const(CycNum.one())
     for arrows in _component_blocks(g):
         mat = [[Poly.variable(g.compose(a, b)) if g.composable(a, b)
@@ -149,10 +151,11 @@ def inverse_determinant(S, cap=DEFAULT_CAP):
     groupoid isomorphism (see _check_groupoid_order) at every size. An
     expansion past the cap or the term budget raises NotApplicable.
 
-    Returns (theta, record) where record carries the groupoid determinant
-    and the substitution."""
+    Returns (theta, record) where record carries the groupoid determinant,
+    the substitution and the components of groupoid_structure."""
+    g = groupoid_of(S)  # raises NotInverse when S is not inverse
     try:
-        gd = groupoid_determinant(S, cap=cap)
+        gd = groupoid_determinant(S, cap=cap, g=g)
     except DimensionCap as e:
         raise NotApplicable(str(e)) from e
     poset = natural_order(S, "inverse")
@@ -160,6 +163,7 @@ def inverse_determinant(S, cap=DEFAULT_CAP):
     sub = forms_of(poset)
     theta = gd.substitute(sub)
     record = {"groupoid_determinant": gd, "substitution": sub,
+              "components": groupoid_structure(S, g).components,
               "verified": "exact"}
     return theta, record
 

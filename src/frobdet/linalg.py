@@ -37,23 +37,35 @@ def int_det(matrix):
 
 def det_mod(matrix, p):
     """Determinant mod a prime p of a matrix of integers, by Gaussian
-    elimination."""
-    m = [[v % p for v in row] for row in matrix]
+    elimination.
+
+    Entries are reduced mod p only where they are read: in the pivot
+    column and, once per step and only when some row needs it, in the
+    pivot row. A row update subtracts f*b, with f, b < p, at the columns
+    right of the pivot where the reduced pivot row b is nonzero, so after
+    at most n updates an entry is still within n*p^2 of its start."""
+    m = [list(row) for row in matrix]
     n, det = len(m), 1
     for k in range(n):
-        r = next((r for r in range(k, n) if m[r][k]), None)
-        if r is None:
+        for r in range(k, n):
+            if v := m[r][k] % p:
+                break
+        else:
             return 0
         if r != k:
             m[k], m[r] = m[r], m[k]
             det = -det
-        pivot = m[k]
-        det = det * pivot[k] % p
-        inv = pow(pivot[k], -1, p)
+        det = det * v % p
+        inv = pow(v, -1, p)
+        pivot = None  # (column, reduced entry) where nonzero
         for i in range(k + 1, n):
-            f = m[i][k] * inv % p
-            if f:
-                m[i] = [(a - f * b) % p for a, b in zip(m[i], pivot)]
+            row = m[i]
+            if f := row[k] * inv % p:
+                if pivot is None:
+                    pivot = [(j, b) for j in range(k + 1, n)
+                             if (b := m[k][j] % p)]
+                for j, b in pivot:
+                    row[j] -= f * b
     return det % p
 
 

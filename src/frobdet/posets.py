@@ -14,7 +14,7 @@ from .cyclotomic import CycNum
 from .errors import (ModeHypothesisFailed, NotAPartialOrder, NotInverse,
                      NotSemilattice, VerificationFailed)
 from .factorization import Factorization
-from .linalg import int_det, unitriangular_inverse
+from .linalg import int_det
 from .poly import LinForm
 from .semigroups import analyze, star_map
 
@@ -28,32 +28,38 @@ class FinitePoset:
     @staticmethod
     def from_leq(leq):
         n = len(leq)
-        rows = tuple(tuple(bool(v) for v in row) for row in leq)
+        rows = tuple(tuple(map(bool, row)) for row in leq)
         for a in range(n):
             if len(rows[a]) != n:
                 raise NotAPartialOrder("ragged relation matrix")
             if not rows[a][a]:
                 raise NotAPartialOrder(f"relation not reflexive at {a}")
+        # bit b of up[a] says a <= b, bit a of below[b] says a < b; for
+        # a <= b transitivity says up[b] lies inside up[a]. The pairs are
+        # visited in the order of the (a, b) loop, related pairs only.
+        up = [sum(1 << b for b, x in enumerate(row) if x) for row in rows]
+        below = [0] * n
         for a in range(n):
-            for b in range(n):
-                if a != b and rows[a][b] and rows[b][a]:
+            above = up[a] & ~(1 << a)
+            while above:
+                b = (above & -above).bit_length() - 1
+                above ^= 1 << b
+                if rows[b][a]:
                     raise NotAPartialOrder(f"antisymmetry fails at ({a}, {b})")
-                if rows[a][b]:
-                    for c in range(n):
-                        if rows[b][c] and not rows[a][c]:
-                            raise NotAPartialOrder(
-                                f"transitivity fails at ({a}, {b}, {c})")
+                if miss := up[b] & ~up[a]:
+                    c = (miss & -miss).bit_length() - 1
+                    raise NotAPartialOrder(
+                        f"transitivity fails at ({a}, {b}, {c})")
+                below[b] |= 1 << a
         # pull out the least-index minimal element repeatedly
         remaining = list(range(n))
+        rest = (1 << n) - 1
         ext = []
         while remaining:
-            for a in remaining:
-                if all(not rows[b][a] for b in remaining if b != a):
-                    ext.append(a)
-                    remaining.remove(a)
-                    break
-            else:
-                raise NotAPartialOrder("no minimal element found")
+            a = next(a for a in remaining if not below[a] & rest)
+            ext.append(a)
+            remaining.remove(a)
+            rest ^= 1 << a
         return FinitePoset(n, rows, tuple(ext))
 
     def zeta(self):
@@ -65,8 +71,24 @@ class FinitePoset:
 
 
 def mobius(poset):
-    """Mobius matrix: mu[a][b] with sum_{a<=c<=b} mu(a, c) = [a == b]."""
-    return unitriangular_inverse(poset.zeta(), poset.extension)
+    """Mobius matrix: mu[a][b] with sum_{a<=c<=b} mu(a, c) = [a == b].
+
+    mu inverts zeta on both sides, so it also satisfies the recursion
+    mu(b, b) = 1, mu(a, b) = -sum_{a<c<=b} mu(c, b), run here over the
+    down-set of b in reverse linear-extension order: the cost is the sum
+    of |down-set|^2 over the elements."""
+    n, leq = poset.n, poset.leq
+    mu = [[0] * n for _ in range(n)]
+    top_first = poset.extension[::-1]
+    for b in range(n):
+        down = [a for a in top_first if leq[a][b]]  # b first
+        col = [1]
+        for i in range(1, len(down)):
+            above = leq[down[i]]
+            col.append(-sum([m for c, m in zip(down, col) if above[c]]))
+        for a, m in zip(down, col):
+            mu[a][b] = m
+    return mu
 
 
 def natural_order(S, mode):

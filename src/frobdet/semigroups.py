@@ -78,14 +78,19 @@ def validate_table(table, names=None, zero=None, identity=None):
     # (s*u)*v = s*(u*v) for all v says row t[s][u] is row s read at the
     # positions of row u; with n = 1 the one product 0*0 = 0 is associative
     # and itemgetter would return a scalar
-    if n > 1:
-        compose = [itemgetter(*row) for row in t]
+    if n > 256:
+        _scan(t, range(n))
+    elif n > 1:
+        # row s at once, for n <= 256: the rows t[s][u], joined, against
+        # the rows u, joined, with each entry x mapped to s*x by one
+        # byte translation
+        rows_b = [bytes(row) for row in t]
+        flat = b"".join(rows_b)
+        pad = bytes(256 - n)
         for s, row_s in enumerate(t):
-            for u, su in enumerate(row_s):
-                if t[su] != compose[u](row_s):
-                    v = next(v for v in range(n)
-                             if t[su][v] != row_s[t[u][v]])
-                    raise AssociativityViolation(s, u, v)
+            if (b"".join(itemgetter(*row_s)(rows_b))
+                    != flat.translate(rows_b[s] + pad)):
+                _scan(t, (s,))
     if names is not None:
         names = tuple(names)
         if len(names) != n:
@@ -99,6 +104,19 @@ def validate_table(table, names=None, zero=None, identity=None):
         raise DeclaredIdentityNotIdentity(
             f"declared identity {identity} is not an identity element")
     return S
+
+
+def _scan(t, rows):
+    """Raise AssociativityViolation at the first (s, u, v), with s taken
+    from rows in order, where (s*u)*v != s*(u*v)."""
+    compose = [itemgetter(*row) for row in t]
+    for s in rows:
+        row_s = t[s]
+        for u, su in enumerate(row_s):
+            if t[su] != compose[u](row_s):
+                v = next(v for v in range(len(t))
+                         if t[su][v] != row_s[t[u][v]])
+                raise AssociativityViolation(s, u, v)
 
 
 def _derived(rows, names=None):

@@ -1,3 +1,6 @@
+import random
+from math import lcm
+
 import pytest
 
 from frobdet.cyclotomic import CycNum
@@ -5,7 +8,7 @@ from frobdet.characters import (Character, character_group, character_pairing,
                                 nonreal_pair_representatives)
 from frobdet.errors import NotAbelian, NotAGroup
 from frobdet.semigroups import (build_family, direct_product, group_of_units,
-                                group_exponent)
+                                group_exponent, validate_table)
 
 
 def test_z2_characters():
@@ -101,3 +104,66 @@ def test_determinism():
     b = character_group(G)
     assert [c.exps for c in a] == [c.exps for c in b]
     assert len(a) == 12
+
+
+def brute_force_characters(G):
+    """Every homomorphism G -> Z/N, N the exponent of G, as exponent
+    tuples: each element is tried at every value in index order, pruned
+    on the products of the elements assigned so far. Sorted by their
+    values on the greedy generators: least-index elements outside the
+    subgroup spanned by the ones before, spans closed under all products."""
+    n, t, e = G.n, G.table, G.identity
+
+    def order(g):
+        k, p = 1, g
+        while p != e:
+            p, k = t[p][g], k + 1
+        return k
+
+    N = lcm(*(order(g) for g in range(n)))
+    found = []
+
+    def extend(values):
+        if len(values) == n:
+            found.append(tuple(values))
+            return
+        a = len(values)
+        for x in range(N):
+            values.append(x)
+            if all(values[t[b][c]] == (values[b] + values[c]) % N
+                   for b in range(a + 1) for c in range(a + 1)
+                   if t[b][c] <= a):
+                extend(values)
+            values.pop()
+
+    extend([])
+    gens, span = [], {e}
+    while len(span) < n:
+        gens.append(min(s for s in range(n) if s not in span))
+        span |= {gens[-1]}
+        while new := {t[a][b] for a in span for b in span} - span:
+            span |= new
+    return N, sorted(found, key=lambda v: [v[g] for g in gens])
+
+
+def relabelled(G, rng):
+    """G with its elements renumbered by a random permutation."""
+    perm = list(range(G.n))
+    rng.shuffle(perm)
+    inv = {p: i for i, p in enumerate(perm)}
+    return validate_table([[inv[G.table[perm[a]][perm[b]]]
+                            for b in range(G.n)] for a in range(G.n)])
+
+
+def test_character_group_against_brute_force():
+    z = {n: build_family("zmod_add", n) for n in (2, 3, 4)}
+    groups = [build_family("zmod_add", n) for n in range(1, 13)] + [
+        direct_product(z[2], z[2]), direct_product(z[2], z[4]),
+        direct_product(z[3], z[3]),
+        direct_product(direct_product(z[2], z[2]), z[2])]
+    rng = random.Random(18)
+    groups += [relabelled(G, rng) for G in groups]
+    for G in groups:
+        N, want = brute_force_characters(G)
+        chars = character_group(G)
+        assert [(c.order, c.exps) for c in chars] == [(N, v) for v in want]

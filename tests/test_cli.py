@@ -14,7 +14,7 @@ import sys
 import pytest
 
 import frobdet
-from frobdet import cli, determinant, poly, semigroups
+from frobdet import cli, determinant, groupoids, poly, semigroups
 from frobdet.cli import form_poly, run
 from frobdet.cyclotomic import CycNum, parse_cyc
 from frobdet.factorization import Factorization
@@ -115,6 +115,27 @@ def test_inverse_route_expands_the_groupoid_once(monkeypatch):
     assert "note: inverse route skipped: symbolic determinant of dimension" \
         in out
 
+
+
+def test_inverse_route_builds_the_groupoid_once(monkeypatch):
+    calls = []
+
+    def counting(S):
+        calls.append(S.n)
+        return groupoid_of(S)
+
+    groupoid_of = groupoids.groupoid_of
+    monkeypatch.setattr(groupoids, "groupoid_of", counting)
+    S = build_family("rook", 2)
+    code, out, err = run_cli(["factor", "-", "--json"], stdin=emit_sgp(S))
+    assert (code, err, calls) == (0, "", [7])
+    data = json.loads(out)
+    assert data["groupoid"] == [
+        {"base": "01", "n_objects": 1, "group_order": 2},
+        {"base": "0x", "n_objects": 2, "group_order": 1},
+        {"base": "xx", "n_objects": 1, "group_order": 1}]
+    assert data["determinant"] == \
+        determinant.paratrophic_determinant(S).to_str()
 
 
 def test_raised_cap_stops_at_the_term_budget():

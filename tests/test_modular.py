@@ -281,3 +281,44 @@ def test_zero_answers():
     assert verify_factorization(Poly.zero(), F)["equal"]
     assert not verify_factorization(f, F)["equal"]
 
+
+
+def gaussian_periods(order, index):
+    """The sums of zeta^k over the cosets of the subgroup of index `index`
+    in the units mod the prime `order`, one per coset: a Galois orbit."""
+    g = next(g for g in range(2, order)
+             if len({pow(g, k, order) for k in range(order - 1)}) == order - 1)
+    periods = []
+    for j in range(index):
+        total = CycNum.zero(order)
+        for k in range(j, order - 1, index):
+            total = total + CycNum.root_of_unity(order, pow(g, k, order))
+        periods.append(total)
+    return periods
+
+
+@pytest.mark.parametrize("order", [12, 997])
+def test_the_all_roots_check_agrees_with_expand(order):
+    z = CycNum.root_of_unity(order)
+    x0, x1 = Poly.variable(0), Poly.variable(1)
+    if order == 12:
+        orbit = [z ** k for k in (1, 5, 7, 11)]
+    else:
+        orbit = gaussian_periods(order, 3)
+    closed = Factorization.of(1, [(x0 + x1.scale(c), 1) for c in orbit],
+                              "test")
+    not_closed = Factorization.of(
+        1, [(x0 + x1.scale(z ** k), 1) for k in (1, 2, 5)], "test")
+    assert _galois_closed(closed.factors, order)
+    assert not _galois_closed(not_closed.factors, order)
+    if order == 12:
+        # closed under zeta -> zeta^5, not under zeta -> zeta^7
+        half = Factorization.of(
+            1, [(x0 + x1.scale(z ** k), 1) for k in (1, 5)], "test")
+        assert not _galois_closed(half.factors, order)
+    for F in (closed, not_closed):
+        theta = F.expand()
+        assert check_exactly(theta, F)
+        assert not check_exactly(theta + (x0 * x1 ** (len(F.factors) - 1))
+                                 .scale(z ** 3), F)
+        assert not check_exactly(theta, replace(F, constant=F.constant * 2))

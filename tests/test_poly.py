@@ -494,6 +494,68 @@ def test_int_det():
     assert det_mod([], 7) == 1 and det_mod([[7, 1], [14, 3]], 7) == 0
 
 
+def fraction_det(m):
+    """The determinant by Gaussian elimination over the rationals."""
+    m = [[Fraction(v) for v in row] for row in m]
+    n, det = len(m), Fraction(1)
+    for k in range(n):
+        r = next((r for r in range(k, n) if m[r][k]), None)
+        if r is None:
+            return 0
+        if r != k:
+            m[k], m[r] = m[r], m[k]
+            det = -det
+        det *= m[k][k]
+        for i in range(k + 1, n):
+            f = m[i][k] / m[k][k]
+            m[i] = [a - f * b for a, b in zip(m[i], m[k])]
+    assert det.denominator == 1
+    return int(det)
+
+
+@pytest.mark.parametrize("p", [2, 7, 2 ** 61 - 1, 2 ** 89 - 1])
+def test_det_mod_against_fractions(p):
+    """Random matrices of size 0 to 20: dense ones with negative entries
+    and entries of p or more, sparse ones whose zero pivots force row
+    swaps, and symmetric ones with a zero diagonal."""
+    rng = random.Random(p)
+
+    def entry(density):
+        if rng.random() >= density:
+            return 0
+        return rng.choice([rng.randint(-9, 9), rng.randint(-3 * p, 3 * p)])
+
+    for n in range(21):
+        for density in (1.0, 0.3, 0.1):
+            m = [[entry(density) for _ in range(n)] for _ in range(n)]
+            rows = [list(row) for row in m]
+            assert det_mod(m, p) == fraction_det(m) % p
+            assert m == rows
+            sym = [[0] * n for _ in range(n)]
+            for i in range(n):
+                for j in range(i + 1, n):
+                    sym[i][j] = sym[j][i] = entry(density)
+            assert det_mod(sym, p) == fraction_det(sym) % p
+    # a multiple of p on the diagonal is a zero pivot
+    assert det_mod([[p, 1], [1, 0]], p) == p - 1
+
+
+def test_det_mod_of_cayley_matrices(commutative_tables):
+    """[x_st] at seeded points, for the commutative tables of order 3 and 4
+    and larger family members, at p = 7 and above 2^61."""
+    rng = random.Random(18)
+    tables = commutative_tables[3] + commutative_tables[4][::10] + [
+        build_family(*f) for f in (("gcd", 12), ("zmod_add", 9), ("rook", 2),
+                                   ("full_transform", 2),
+                                   ("cyclic_nilpotent", 6))]
+    for S in tables:
+        point = [rng.randint(-100, 100) for _ in range(S.n)]
+        m = [[point[u] for u in row] for row in S.table]
+        det = fraction_det(m)
+        for p in (7, 2 ** 61 - 1):
+            assert det_mod(m, p) == det % p
+
+
 def test_cyc_det_and_inverse():
     i = CycNum.root_of_unity(4)
     m = [[CycNum.one(4), i], [i, CycNum.one(4)]]

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -5,11 +6,14 @@ import pytest
 from frobdet.determinant import verify_against
 from frobdet.errors import ModeHypothesisFailed, NotAPartialOrder, NotSemilattice
 from frobdet.groupoids import is_inverse
+from frobdet.linalg import unitriangular_inverse
 from frobdet.posets import (FinitePoset, factor_semilattice, mobius,
                             mobius_forms, natural_order, smith_determinant,
                             smith_matrix, splus_map)
-from frobdet.semigroups import (analyze, build_family, direct_product,
-                                validate_table)
+from frobdet.semigroups import (adjoin_zero, analyze, build_family,
+                                direct_product, validate_table)
+
+from corpus import eleven_monoid, wenger_monoid, zmult
 
 
 def divisor_poset(n):
@@ -56,6 +60,88 @@ def test_mobius_inverts_zeta():
         for j in range(n):
             s = sum(z[i][k] * mu[k][j] for k in range(n))
             assert s == (1 if i == j else 0)
+
+
+def random_order(rng, n):
+    """A random partial order on 0..n-1 as a list of lists of bools: the
+    transitive closure of random edges between the elements of a random
+    ranking."""
+    rank = list(range(n))
+    rng.shuffle(rank)
+    leq = [[a == b or (rank[a] < rank[b] and rng.random() < 0.3)
+            for b in range(n)] for a in range(n)]
+    for c in range(n):
+        for a in range(n):
+            if leq[a][c]:
+                for b in range(n):
+                    leq[a][b] = leq[a][b] or leq[c][b]
+    return leq
+
+
+def test_mobius_against_unitriangular_inverse(commutative_tables):
+    """On every natural order of the commutative tables of order 1 to 4 and
+    of larger family members, in all three modes, and on random posets."""
+    tables = [S for n in (1, 2, 3, 4) for S in commutative_tables[n]]
+    tables += [build_family(*f) for f in (
+        ("gcd", 24), ("gcd", 60), ("chain_semilattice", 8), ("rook", 2),
+        ("rook", 3), ("zmod_add", 6), ("cyclic_nilpotent", 5))]
+    tables += [adjoin_zero(build_family("rook", 2)), zmult(12),
+               wenger_monoid(), eleven_monoid()]
+    orders = 0
+    for S in tables:
+        for mode in ("semilattice", "inverse", "central_idempotent"):
+            try:
+                p = natural_order(S, mode)
+            except ModeHypothesisFailed:
+                continue
+            assert mobius(p) == unitriangular_inverse(p.zeta(), p.extension)
+            orders += 1
+    assert orders == 918
+    rng = random.Random(18)
+    for n in list(range(1, 12)) + [30, 40]:
+        for _ in range(5):
+            p = FinitePoset.from_leq(random_order(rng, n))
+            assert mobius(p) == unitriangular_inverse(p.zeta(), p.extension)
+
+
+def first_order_error(leq):
+    """from_leq's message on a relation that is not a partial order, by
+    the triple loop over (a, b, c); None for a partial order."""
+    n = len(leq)
+    for a in range(n):
+        if len(leq[a]) != n:
+            return "ragged relation matrix"
+        if not leq[a][a]:
+            return f"relation not reflexive at {a}"
+    for a in range(n):
+        for b in range(n):
+            if a != b and leq[a][b] and leq[b][a]:
+                return f"antisymmetry fails at ({a}, {b})"
+            if leq[a][b]:
+                for c in range(n):
+                    if leq[b][c] and not leq[a][c]:
+                        return f"transitivity fails at ({a}, {b}, {c})"
+    return None
+
+
+def test_from_leq_reports_the_first_failure():
+    rng = random.Random(19)
+    seen = set()
+    for n in list(range(1, 10)) + [20, 70]:
+        for _ in range(30):
+            leq = random_order(rng, n)
+            for _ in range(rng.randint(0, 3)):
+                a, b = rng.randrange(n), rng.randrange(n)
+                leq[a][b] = not leq[a][b]
+            want = first_order_error(leq)
+            if want is None:
+                assert FinitePoset.from_leq(leq).n == n
+            else:
+                with pytest.raises(NotAPartialOrder) as e:
+                    FinitePoset.from_leq(leq)
+                assert str(e.value) == want
+            seen.add(want and want.split()[0])
+    assert seen == {None, "relation", "antisymmetry", "transitivity"}
 
 
 def test_natural_order_gcd6():

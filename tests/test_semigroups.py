@@ -53,6 +53,12 @@ def test_validate_reports_first_violation():
         for _ in range(40):
             tables.append([[rng.randrange(n) for _ in range(n)]
                            for _ in range(n)])
+    # one corrupted entry of a chain, at the largest size the row-wise
+    # byte check takes and above it
+    for n in (256, 300):
+        chain = [[min(i, j) for j in range(n)] for i in range(n)]
+        chain[rng.randrange(1, n)][rng.randrange(1, n)] = 0
+        tables.append(chain)
     seen = set()
     for t in tables:
         want = first_violation(t)
