@@ -309,7 +309,7 @@ def factor_routes(S, args, cocycle):
     (guard, factorizer). Each guard is a bool read from the structure of
     S; the factorizer runs when it holds. Each answer is a factorization
     of the request's own determinant, which cmd_factor checks, except the
-    general inverse route's (theta, record): that route rejects a
+    general inverse route's (theta, components): that route rejects a
     non-inverse S itself, before any expansion, and checks its expanded
     theta itself. Plain factor lifts the nilpotent route's answer for the
     contracted determinant to the plain one."""
@@ -353,12 +353,12 @@ def checked_factor(S, F, args, mode, cocycle):
                           seed=args.seed)
 
 
-def inverse_result(S, theta, record, args):
+def inverse_result(S, theta, components, args):
     """(data, lines) of the general inverse route, with only the one that
     emit prints built. The route checks theta exactly itself."""
     status = "zero" if theta.is_zero() else "frobenius"
     comps = [{"base": S.name_of(b), "n_objects": k, "group_order": g}
-             for _, b, k, g in record["components"]]
+             for _, b, k, g in components]
     verification = {"mode": "exact", "rounds": 1, "seed": args.seed}
     if args.json:
         return {

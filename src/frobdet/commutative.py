@@ -24,8 +24,8 @@ from .factorization import Factorization
 from .linalg import cyc_det
 from .nilpotent import (Cocycle, analyze_nilpotent, annihilator_matrix,
                         first_non_nilpotent)
-from .poly import DEFAULT_CAP, LinForm, Poly
-from .posets import mobius_forms, natural_order, splus_map
+from .poly import DEFAULT_CAP, Poly
+from .posets import forms_of, natural_order, splus_map
 from .semigroups import (analyze, group_of_units, validate_table,
                          _fresh_label)
 
@@ -94,7 +94,7 @@ def global_decomposition_check(S, cap=DEFAULT_CAP):
     """Verify symbolically that the determinant of S is the product of the
     local contracted determinants at the Mobius forms."""
     dec = splus_decompose(S)
-    sub = mobius_forms(S, "central_idempotent")
+    sub = forms_of(dec.order)
     theta = paratrophic_determinant(S, mode="plain", cap=cap)
     prod = Poly.const(1)
     components = []
@@ -254,7 +254,6 @@ def factor_local(M):
     chi-quotient has no single annihilating orbit or a singular
     annihilator matrix. The constant is exact."""
     spec = local_spectrum(M)
-    t = M.table
     gsize = spec.units.n
     order = spec.characters[0].order
     dead = []
@@ -284,19 +283,23 @@ def factor_local(M):
         for i in rec.J:
             sizes *= Fraction(spec.orbit_sizes[i], gsize)
     constant = CycNum.from_rational(sizes) * prod_detA
-    factors = []
-    for chi, rec in zip(spec.characters, spec.records):
-        target = spec.reps[rec.annihilating]
-        coeffs = {}
-        for loc, amb in enumerate(spec.unit_ids):
-            v = t[amb][target]
-            c = chi.conj().value(loc)
-            coeffs[v] = coeffs[v] + c if v in coeffs else c
-        form = LinForm.make(coeffs, order=chi.order).to_poly()
-        factors.append((form, len(rec.J)))
+    factors = [(_chi_average(chi, spec.unit_ids, M.table,
+                             spec.reps[rec.annihilating]), len(rec.J))
+               for chi, rec in zip(spec.characters, spec.records)]
     return Factorization.of(constant, factors, "local-monoid",
                             notes=(f"unit group of order {gsize}, "
                                    f"{len(spec.reps)} orbits",))
+
+
+def _chi_average(chi, unit_ids, table, target):
+    """The conjugate chi-average over the unit orbit of target: the linear
+    form sum_g conj(chi)(g) x_{g target}, g over the units."""
+    conj, coeffs = chi.conj(), {}
+    for loc, amb in enumerate(unit_ids):
+        v = table[amb][target]
+        c = conj.value(loc)
+        coeffs[v] = coeffs[v] + c if v in coeffs else c
+    return Poly.linear(coeffs, order=chi.order)
 
 
 def factor_commutative(S):
@@ -315,7 +318,7 @@ def factor_commutative(S):
             notes=("the products S.S miss "
                    + ", ".join(S.name_of(s) for s in missing),))
     dec = splus_decompose(S)
-    sub = mobius_forms(S, "central_idempotent")
+    sub = forms_of(dec.order)
     constant = CycNum.one()
     factors = []
     notes = []
@@ -386,14 +389,7 @@ def chain_fastpath(M):
         const *= (-1) ** _binom2(top + 1)
         for i in range(top + 1):
             const *= Fraction(1, len(stabs[i]))
-    factors = []
-    for chi, top in zip(chars, tops):
-        coeffs = {}
-        for loc, amb in enumerate(unit_ids):
-            v = t[amb][powers[top]]
-            c = chi.conj().value(loc)
-            coeffs[v] = coeffs[v] + c if v in coeffs else c
-        form = LinForm.make(coeffs, order=chi.order).to_poly()
-        factors.append((form, top + 1))
+    factors = [(_chi_average(chi, unit_ids, t, powers[top]), top + 1)
+               for chi, top in zip(chars, tops)]
     return Factorization.of(const, factors, "chain-monoid",
                             notes=(f"chain of {len(powers)} powers",))

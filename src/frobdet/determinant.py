@@ -18,7 +18,7 @@ from .errors import (CocycleDomainMismatch, NoZero, NotAbelianWithoutReps,
 from .factorization import (Factorization, checked, random_points,
                             random_table_check)
 from .linalg import cyc_det, cyc_matrix_inverse, int_det
-from .poly import DEFAULT_CAP, LinForm, Poly, det_poly_matrix
+from .poly import DEFAULT_CAP, Poly, det_poly_matrix
 from .semigroups import analyze
 
 
@@ -319,9 +319,8 @@ def transport_basis(theta_prime, P, row_vars=None, col_vars=None):
         col_vars = tuple(row_vars)
     sub = {}
     for j in range(n):
-        coeffs = {col_vars[i]: inv[i][j] for i in range(n)
-                  if not inv[i][j].is_zero()}
-        sub[row_vars[j]] = LinForm.make(coeffs).to_poly()
+        sub[row_vars[j]] = Poly.linear({col_vars[i]: inv[i][j]
+                                        for i in range(n)})
     out = theta_prime.substitute(sub)
     scale = detP * detP
     return out.scale(scale)
@@ -383,14 +382,9 @@ def _rep_factor(G, rep):
     for i in range(d):
         row = []
         for j in range(d):
-            coeffs = {}
-            for g in range(G.n):
-                v = rep.mats[g][i][j]
-                if not v.is_zero():
-                    coeffs[g] = coeffs.get(g, CycNum.zero(v.order)) + v
-            coeffs = {k: v for k, v in coeffs.items() if not v.is_zero()}
-            if coeffs:
-                row.append(LinForm.make(coeffs).to_poly())
+            coeffs = {g: rep.mats[g][i][j] for g in range(G.n)}
+            if any(not c.is_zero() for c in coeffs.values()):
+                row.append(Poly.linear(coeffs))
             else:
                 row.append(Poly.zero())
         mat.append(row)
@@ -416,11 +410,8 @@ def factor_group_determinant(G, reps=None):
                 "nonabelian groups need supplied representations")
         chars = character_group(G)
         characters = (chars[0].order, tuple(chi.exps for chi in chars))
-        factors = []
-        for chi in chars:
-            coeffs = {g: chi.value(g) for g in range(G.n)}
-            coeffs = {g: v for g, v in coeffs.items() if not v.is_zero()}
-            factors.append((LinForm.make(coeffs).to_poly(), 1))
+        factors = [(Poly.linear({g: chi.value(g) for g in range(G.n)}), 1)
+                   for chi in chars]
         provenance = "dedekind"
     else:
         total = sum(r.dim * r.dim for r in reps)

@@ -151,35 +151,29 @@ def inverse_determinant(S, cap=DEFAULT_CAP):
     groupoid isomorphism (see _check_groupoid_order) at every size. An
     expansion past the cap or the term budget raises NotApplicable.
 
-    Returns (theta, record) where record carries the groupoid determinant,
-    the substitution and the components of groupoid_structure."""
+    Returns (theta, components), the components of groupoid_structure."""
     g = groupoid_of(S)  # raises NotInverse when S is not inverse
     try:
         gd = groupoid_determinant(S, cap=cap, g=g)
     except DimensionCap as e:
         raise NotApplicable(str(e)) from e
     poset = natural_order(S, "inverse")
-    _check_groupoid_order(S, poset.leq)
-    sub = forms_of(poset)
-    theta = gd.substitute(sub)
-    record = {"groupoid_determinant": gd, "substitution": sub,
-              "components": groupoid_structure(S, g).components,
-              "verified": "exact"}
-    return theta, record
+    _check_groupoid_order(g, poset.leq)
+    theta = gd.substitute(forms_of(poset))
+    return theta, groupoid_structure(S, g).components
 
 
-def _check_groupoid_order(S, leq):
+def _check_groupoid_order(groupoid, leq):
     """Raise VerificationFailed unless, for all s and t, (g, h) -> gh maps
     {(g, h) : g <= s, h <= t, dom g = ran h} one to one onto {u <= st},
-    where leq[a][b] means a <= b. Then the groupoid matrix X_G(y) and the
-    semigroup matrix satisfy X_S = Z X_G(y) Z^T, with Z[s][g] = [g <= s]
-    unitriangular and x_s = sum_{u <= s} y_u, so theta_S(x) = theta_G(y)
-    exactly (Steinberg, "Mobius functions and semigroup representation
-    theory", JCTA 2006)."""
-    n, t, star = S.n, S.table, star_map(S)
+    with dom and ran read from the groupoid of S and leq[a][b] meaning
+    a <= b. Then the groupoid matrix X_G(y) and the semigroup matrix
+    satisfy X_S = Z X_G(y) Z^T, with Z[s][g] = [g <= s] unitriangular and
+    x_s = sum_{u <= s} y_u, so theta_S(x) = theta_G(y) exactly (Steinberg,
+    "Mobius functions and semigroup representation theory", JCTA 2006)."""
+    S, dom, ran = groupoid.S, groupoid.dom, groupoid.ran
+    n, t = S.n, S.table
     below = [[u for u in range(n) if leq[u][s]] for s in range(n)]
-    dom = [t[star[s]][s] for s in range(n)]
-    ran = [t[s][star[s]] for s in range(n)]
     for s in range(n):
         for r in range(n):
             images = sorted(t[g][h] for g in below[s] for h in below[r]

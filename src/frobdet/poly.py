@@ -15,7 +15,6 @@ result is turned back into a Poly: its zeta-parts, left unreduced during
 the expansion, are reduced mod Phi_N once at the end.
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
@@ -67,10 +66,14 @@ def _mono_key(m):
     return mono_deg(m), tuple((-v, e) for v, e in m)
 
 
-def mono_str(m):
+def mono_str(m, names=None):
+    """A monomial as factors joined by '*', each x_<name> when names gives
+    its variable a nonempty name and x<id> otherwise, with ^e above 1."""
     parts = []
     for v, e in m:
-        parts.append(f"x{v}" if e == 1 else f"x{v}^{e}")
+        named = names and v < len(names) and names[v]
+        t = f"x_{names[v]}" if named else f"x{v}"
+        parts.append(t if e == 1 else f"{t}^{e}")
     return "*".join(parts)
 
 
@@ -114,6 +117,22 @@ class Poly:
     def from_terms(order, terms):
         """The sum of c * m over (monomial m, CycNum c at order) pairs."""
         return Poly(order, _merge_terms({}, terms))
+
+    @staticmethod
+    def linear(mapping, order=1):
+        """The linear form sum(mapping[v] * x_v), at the lcm of order and
+        the orders of its coefficients; int and Fraction values are taken
+        at order 1, and zero coefficients are dropped."""
+        terms = {}
+        for v, c in sorted(mapping.items()):
+            if not isinstance(c, CycNum):
+                c = _coerce(c, 1)
+            if not c.is_zero():
+                order = lcm(order, c.order)
+                terms[((v, 1),)] = c
+        if not terms:
+            raise ValueError("linear form needs a nonzero coefficient")
+        return Poly(order, {m: c.embed(order) for m, c in terms.items()})
 
     @staticmethod
     def variable(v, order=1):
@@ -181,20 +200,9 @@ class Poly:
         a, b = Poly.unify(self, other)
         if len(a.terms) > len(b.terms):
             a, b = b, a
-        terms = {}
-        for ma, ca in a.terms.items():
-            for mb, cb in b.terms.items():
-                m = mono_mul(ma, mb)
-                c = ca * cb
-                if m in terms:
-                    s = terms[m] + c
-                    if s.is_zero():
-                        del terms[m]
-                    else:
-                        terms[m] = s
-                elif not c.is_zero():
-                    terms[m] = c
-        return Poly(a.order, terms)
+        return Poly.from_terms(a.order, (
+            (mono_mul(ma, mb), ca * cb)
+            for ma, ca in a.terms.items() for mb, cb in b.terms.items()))
 
     __rmul__ = __mul__
 
@@ -230,31 +238,16 @@ class Poly:
         return self.terms.get(m, CycNum.zero(self.order))
 
     def evaluate(self, point):
-        """Evaluate at a map var -> int | Fraction | CycNum."""
-        vars_needed = self.variables()
-        missing = vars_needed - set(point)
+        """Evaluate at a map var -> int | Fraction | CycNum, as a CycNum."""
+        missing = self.variables() - set(point)
         if missing:
             raise MissingVariable(f"no value for x{sorted(missing)[0]}")
-        rational = self.order == 1 and all(
-            isinstance(v, (int, Fraction)) for v in point.values())
-        if rational:
-            total = Fraction(0)
-            for m, c in self.terms.items():
-                v = c.as_fraction()
-                for var, e in m:
-                    v *= Fraction(point[var]) ** e
-                total += v
-            return CycNum.from_rational(total, 1)
         total = CycNum.zero(self.order)
         for m, c in self.terms.items():
-            v = c
             for var, e in m:
                 p = point[var]
-                if isinstance(p, CycNum):
-                    v = v * p ** e
-                else:
-                    v = v * (Fraction(p) ** e)
-            total = total + v
+                c = c * (p if isinstance(p, CycNum) else Fraction(p)) ** e
+            total = total + c
         return total
 
     def substitute(self, sub):
@@ -273,21 +266,10 @@ class Poly:
             return cache[key]
 
         terms = {}
-
-        def add(m, c):
-            if m in terms:
-                s = terms[m] + c
-                if s.is_zero():
-                    del terms[m]
-                else:
-                    terms[m] = s
-            else:
-                terms[m] = c
-
         for m, c in self.at_order(order).terms.items():
             if len(m) == 1 and m[0][1] == 1 and m[0][0] in sub:
-                for ms, cs in power(m[0][0], 1).terms.items():
-                    add(ms, c * cs)
+                _merge_terms(terms, ((ms, c * cs) for ms, cs
+                                     in power(m[0][0], 1).terms.items()))
                 continue
             term = Poly.const(c, order)
             for v, e in m:
@@ -295,8 +277,7 @@ class Poly:
                     term = term * power(v, e)
                 else:
                     term = term * Poly.variable(v, order) ** e
-            for mt, ct in term.terms.items():
-                add(mt, ct)
+            _merge_terms(terms, term.terms.items())
         return Poly(order, terms)
 
     def to_str(self, names=None):
@@ -322,48 +303,15 @@ class Poly:
 
 def _term_str(m, c, names=None):
     """Return (body, negated) for one term in the canonical print."""
-    def mstr():
-        if names is None:
-            return mono_str(m)
-        parts = []
-        for v, e in m:
-            t = f"x_{names[v]}" if v < len(names) and names[v] else f"x{v}"
-            parts.append(t if e == 1 else f"{t}^{e}")
-        return "*".join(parts)
-
     if not c.is_rational():
         body = f"({c.to_str()})"
-        return (body + "*" + mstr() if m else body), False
+        return (body + "*" + mono_str(m, names) if m else body), False
     x = c.nums[0]
     q = _rat_str(abs(x), c.den)
     if not m:
         return q, x < 0
-    return (mstr() if q == "1" else f"{q}*{mstr()}"), x < 0
-
-
-@dataclass(frozen=True)
-class LinForm:
-    """A linear form sum(coeffs[v] * x_v); at least one nonzero coefficient."""
-    order: int
-    coeffs: tuple  # tuple of (var, CycNum) sorted by var
-
-    @staticmethod
-    def make(mapping, order=None):
-        items = []
-        n = order or 1
-        for v, c in mapping.items():
-            if not isinstance(c, CycNum):
-                c = _coerce(c, 1)
-            if not c.is_zero():
-                n = lcm(n, c.order)
-                items.append((v, c))
-        if not items:
-            raise ValueError("linear form needs a nonzero coefficient")
-        items.sort(key=lambda p: p[0])
-        return LinForm(n, tuple((v, c.embed(n)) for v, c in items))
-
-    def to_poly(self):
-        return Poly(self.order, {((v, 1),): c for v, c in self.coeffs})
+    mono = mono_str(m, names)
+    return (mono if q == "1" else f"{q}*{mono}"), x < 0
 
 
 def _add_product(out, a, b):

@@ -15,7 +15,7 @@ from .errors import (ModeHypothesisFailed, NotAPartialOrder, NotInverse,
                      NotSemilattice, VerificationFailed)
 from .factorization import Factorization
 from .linalg import int_det
-from .poly import LinForm
+from .poly import Poly
 from .semigroups import analyze, star_map
 
 
@@ -174,9 +174,8 @@ def mobius_forms(S, mode):
 def forms_of(poset):
     """The Mobius forms y_s = sum_{t <= s} mu(t, s) x_t of a poset."""
     mu = mobius(poset)
-    return {s: LinForm.make({t: CycNum.from_rational(mu[t][s])
-                             for t in poset.down_set(s)
-                             if mu[t][s] != 0}).to_poly()
+    return {s: Poly.linear({t: CycNum.from_rational(mu[t][s])
+                            for t in poset.down_set(s) if mu[t][s] != 0})
             for s in range(poset.n)}
 
 

@@ -73,19 +73,20 @@ def test_groupoid_structure_identity_count():
 
 def test_inverse_determinant_rook2_matches_plain():
     S = build_family("rook", 2)
-    theta, record = inverse_determinant(S)
-    assert record["verified"] == "exact"
+    theta, components = inverse_determinant(S)
     assert theta == paratrophic_determinant(S)
+    assert components == groupoid_structure(S).components
     assert not theta.is_zero()
     assert theta.total_degree() == 7
 
 
 def test_inverse_determinant_semilattice():
     S = build_family("chain_semilattice", 3)
-    theta, record = inverse_determinant(S)
-    assert record["verified"] == "exact"
+    theta, components = inverse_determinant(S)
+    assert theta == paratrophic_determinant(S)
+    assert components == groupoid_structure(S).components
     # groupoid determinant of a semilattice is just prod y_e
-    gd = record["groupoid_determinant"]
+    gd = groupoid_determinant(S)
     assert gd.total_degree() == 3
     assert len(gd.terms) == 1
 
@@ -160,7 +161,8 @@ def test_the_groupoid_order_check_accepts_inverse_semigroups():
     for S in (build_family("rook", 2), build_family("rook", 3),
               build_family("chain_semilattice", 4),
               build_family("zmod_add", 6)):
-        _check_groupoid_order(S, natural_order(S, "inverse").leq)
+        _check_groupoid_order(groupoid_of(S),
+                              natural_order(S, "inverse").leq)
 
 
 def test_a_corrupted_order_fails_the_groupoid_check():
@@ -174,11 +176,11 @@ def test_a_corrupted_order_fails_the_groupoid_check():
         bad = [list(row) for row in leq]
         bad[a][b] = not bad[a][b]
         with pytest.raises(VerificationFailed):
-            _check_groupoid_order(S, bad)
+            _check_groupoid_order(groupoid_of(S), bad)
     # relating both elements of Z/2 each way makes (g, h) -> gh onto but
     # two to one
     with pytest.raises(VerificationFailed):
-        _check_groupoid_order(build_family("zmod_add", 2),
+        _check_groupoid_order(groupoid_of(build_family("zmod_add", 2)),
                               [[True, True], [True, True]])
 
 
@@ -191,6 +193,6 @@ def test_the_inverse_route_expands_no_plain_determinant(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("plain determinant expanded")
     monkeypatch.setattr(determinant, "cayley_matrix", refuse)
-    got, record = inverse_determinant(S, cap=5)
-    assert record["verified"] == "exact"
+    got, components = inverse_determinant(S, cap=5)
     assert got == theta
+    assert components == groupoid_structure(S).components

@@ -77,6 +77,10 @@ def test_sort_key_is_graded_lex():
 def test_poly_arithmetic():
     p = (x(0) + x(1)) * (x(0) - x(1))
     assert p == x(0) * x(0) - x(1) * x(1)
+    # the x0*x1 terms cancel and are dropped; the rest keep first place
+    assert list(p.terms) == [((0, 2),), ((1, 2),)]
+    assert list(((x(0) + x(1)) * (x(0) + x(1))).terms) == \
+        [((0, 2),), ((0, 1), (1, 1)), ((1, 2),)]
     assert (x(0) + 1) ** 2 == x(0) ** 2 + 2 * x(0) + 1
     assert (p - p).is_zero()
     assert x(0) * Poly.zero() == Poly.zero()
@@ -94,6 +98,33 @@ def test_poly_str_canonical():
     assert r.to_str() == "x0+(z)*x1"
     assert Poly.zero().to_str() == "0"
     assert Poly.const(-1).to_str() == "-1"
+    # an empty name, and an id past the end of names, print x<id>
+    assert (x(0) * x(1) ** 2 - x(2).scale(z3)).to_str(("a", "")) == \
+        "x_a*x1^2+(-z)*x2"
+    m = ((0, 1), (1, 2), (2, 1), (5, 3))
+    assert poly.mono_str(m) == "x0*x1^2*x2*x5^3"
+    assert poly.mono_str(m, ("a", "", "c")) == "x_a*x1^2*x_c*x5^3"
+    assert poly.mono_str(m, ()) == "x0*x1^2*x2*x5^3"
+    assert poly.mono_str(()) == ""
+
+
+def test_linear_forms():
+    z3, z4 = CycNum.root_of_unity(3), CycNum.root_of_unity(4)
+    f = Poly.linear({3: z4, 0: 3, 1: z3, 2: Fraction(1, 2), 4: 0,
+                     5: CycNum.zero(4), 6: Fraction(0)})
+    assert f.order == 12
+    assert all(c.order == 12 for c in f.terms.values())
+    assert list(f.terms) == [((0, 1),), ((1, 1),), ((2, 1),), ((3, 1),)]
+    assert f == x(0) * 3 + x(1).scale(z3) + x(2) * Fraction(1, 2) \
+        + x(3).scale(z4)
+    # an explicit order raises the field
+    assert Poly.linear({0: 1}).order == 1
+    assert Poly.linear({0: 1}, order=5).order == 5
+    assert Poly.linear({0: z3}, order=2).order == 6
+    for zeros in ({}, {0: 0, 1: Fraction(0), 2: CycNum.zero(3)}):
+        with pytest.raises(ValueError,
+                           match="^linear form needs a nonzero coefficient$"):
+            Poly.linear(zeros)
 
 
 def test_poly_parse_round_trip():
@@ -163,6 +194,21 @@ def test_evaluate():
     z = CycNum.root_of_unity(4)
     q = x(0).scale(z)
     assert q.evaluate({0: 2}) == z * 2
+    # int, Fraction and CycNum points, on polynomials of orders 1 and 3
+    z3 = CycNum.root_of_unity(3)
+    r = x(0) * x(1) ** 2 - x(2) * Fraction(3, 2) + 1
+    r3 = r + x(0).scale(z3)
+    for f, point, want, order in [
+            (r, {0: 2, 1: Fraction(1, 3), 2: -4}, Fraction(65, 9), 1),
+            (r, {0: z3, 1: 2, 2: Fraction(2, 3)}, z3 * 4, 3),
+            (r3, {0: 2, 1: Fraction(1, 3), 2: -4},
+             z3 * 2 + Fraction(65, 9), 3),
+            (r3, {0: z3, 1: z3 * 2, 2: 1}, Fraction(5, 2) - z3, 3),
+            (Poly.zero(3), {}, 0, 3)]:
+        got = f.evaluate(point)
+        assert got == want and got.order == order
+    with pytest.raises(MissingVariable, match="^no value for x1$"):
+        r3.evaluate({0: z3, 2: 1})
 
 
 def test_det_examples():
@@ -761,3 +807,10 @@ def test_substitute_matches_expansion():
                    for c in got.terms.values())
     assert cases[1][0].substitute(cases[1][1]) == x[2]
     assert cases[2][0].substitute(cases[2][1]).is_zero()
+    assert (x[0] + x[1]).substitute({1: -x[0]}).is_zero()
+    # a repeated monomial keeps its first place, in the linear path and
+    # in the general one
+    got = (x[0] + x[1]).substitute({0: x[2] + x[3], 1: x[4] + x[2]})
+    assert list(got.terms) == [((2, 1),), ((3, 1),), ((4, 1),)]
+    got = (x[0] ** 2 + x[1]).substitute({0: x[2] + x[3], 1: x[3] * x[2]})
+    assert list(got.terms) == [((2, 2),), ((2, 1), (3, 1)), ((3, 2),)]
