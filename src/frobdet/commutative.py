@@ -299,7 +299,7 @@ def _chi_average(chi, unit_ids, table, target):
         v = table[amb][target]
         c = conj.value(loc)
         coeffs[v] = coeffs[v] + c if v in coeffs else c
-    return Poly.linear(coeffs, order=chi.order)
+    return Poly.linear(coeffs)
 
 
 def factor_commutative(S):

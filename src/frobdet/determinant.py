@@ -382,10 +382,10 @@ def _rep_factor(G, rep):
     for i in range(d):
         row = []
         for j in range(d):
-            coeffs = {g: rep.mats[g][i][j] for g in range(G.n)}
-            if any(not c.is_zero() for c in coeffs.values()):
-                row.append(Poly.linear(coeffs))
-            else:
+            try:
+                row.append(Poly.linear({g: rep.mats[g][i][j]
+                                        for g in range(G.n)}))
+            except ValueError:
                 row.append(Poly.zero())
         mat.append(row)
     return det_poly_matrix(mat)

@@ -119,11 +119,11 @@ class Poly:
         return Poly(order, _merge_terms({}, terms))
 
     @staticmethod
-    def linear(mapping, order=1):
-        """The linear form sum(mapping[v] * x_v), at the lcm of order and
-        the orders of its coefficients; int and Fraction values are taken
-        at order 1, and zero coefficients are dropped."""
-        terms = {}
+    def linear(mapping):
+        """The linear form sum(mapping[v] * x_v), at the lcm of the orders
+        of its coefficients; int and Fraction values are taken at order 1,
+        and zero coefficients are dropped."""
+        order, terms = 1, {}
         for v, c in sorted(mapping.items()):
             if not isinstance(c, CycNum):
                 c = _coerce(c, 1)
