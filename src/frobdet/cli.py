@@ -20,7 +20,7 @@ from .errors import DimensionCap, FrobdetError, FormatError, NotApplicable
 from .factorization import verify_factorization, Factorization, lift_zero
 from .groupoids import factor_clifford, groupoid_structure, inverse_determinant
 from .nilpotent import factor_nil_adjoined, parse_cocycle
-from .poly import DEFAULT_CAP, Poly, parse_poly, mono_str, _mono_key
+from .poly import DEFAULT_CAP, Poly, parse_poly, mono_str
 from .posets import factor_semilattice, mobius, natural_order, smith_determinant
 from .rings import FiniteFieldSpec, frobenius_form_check, kovacs_check, \
     matrix_monoid, zmod_monoid, _prime_power
@@ -46,10 +46,9 @@ def variables_map(S):
 
 
 def poly_form(p):
-    """A factor as {monomial token: coefficient string}, descending
-    graded lex, the order to_str uses."""
-    monos = sorted(p.terms, key=_mono_key, reverse=True)
-    return {mono_str(m) if m else "1": p.terms[m].to_str() for m in monos}
+    """A factor as {monomial token: coefficient string}, in the order of
+    its canonical print."""
+    return {mono_str(m) if m else "1": c for m, c in p.printed()}
 
 
 def form_poly(form, order):
@@ -59,16 +58,23 @@ def form_poly(form, order):
         .terms.items()))
 
 
+def _at_common_order(F):
+    """(N, constant, factors) of F with its constant and every factor at
+    N, the lcm of their cyclotomic orders, so that z means zeta_N
+    throughout."""
+    order = lcm(F.constant.order, *(f.order for f, _ in F.factors))
+    return (order, F.constant.embed(order),
+            [(f.at_order(order), m) for f, m in F.factors])
+
+
 def factorization_data(F, S):
-    order = F.constant.order
-    for f, _ in F.factors:
-        order = lcm(order, f.order)
+    order, constant, factors = _at_common_order(F)
     data = {
         "status": F.status,
-        "constant": F.constant.embed(order).to_str(),
+        "constant": constant.to_str(),
         "cyclotomic_order": order,
-        "factors": [{"form": poly_form(f.at_order(order)), "multiplicity": m}
-                    for f, m in F.factors],
+        "factors": [{"form": poly_form(f), "multiplicity": m}
+                    for f, m in factors],
         "verification": F.verification,
         "provenance": F.provenance,
         "notes": list(F.notes),
@@ -95,20 +101,16 @@ def factorization_lines(F, S):
     names = S.names
     out = [f"status: {F.status}", f"provenance: {F.provenance}"]
     if F.status == "factored":
-        order = F.constant.order
-        bodies = []
-        uses_z = "z" in F.constant.to_str()
-        for f, m in F.factors:
-            order = lcm(order, f.order)
-            bodies.append((f.to_str(names), m))
-            uses_z = uses_z or "z" in f.to_str()
-        out.append(f"constant: {F.constant.to_str()}")
-        if uses_z:
+        order, constant, factors = _at_common_order(F)
+        out.append(f"constant: {constant.to_str()}")
+        if not constant.is_rational() or any(
+                not c.is_rational() for f, _ in F.factors
+                for c in f.terms.values()):
             out.append(f"cyclotomic order: {order} "
                        f"(z = a primitive root of unity of order {order})")
         out.append("factors:")
-        for body, m in bodies:
-            out.append(f"  ({body})" + (f"^{m}" if m > 1 else ""))
+        for f, m in factors:
+            out.append(f"  ({f.to_str(names)})" + (f"^{m}" if m > 1 else ""))
     out.append("verification: " + verification_line(F.verification))
     for note in F.notes:
         out.append(f"note: {note}")

@@ -20,7 +20,7 @@ from .cyclotomic import CycNum
 from .determinant import paratrophic_determinant
 from .errors import (IdempotentsNotCentral, NotChain, NotCommutative,
                      NotIdempotentSemigroup, NotLocalShape)
-from .factorization import Factorization
+from .factorization import Factorization, _monic
 from .linalg import cyc_det
 from .nilpotent import (Cocycle, analyze_nilpotent, annihilator_matrix,
                         first_non_nilpotent)
@@ -253,6 +253,12 @@ def factor_local(M):
     multiplicity the number of surviving orbits. Vanishes when some
     chi-quotient has no single annihilating orbit or a singular
     annihilator matrix. The constant is exact."""
+    return _local_factorization(M).normalized()
+
+
+def _local_factorization(M):
+    """factor_local's answer before its factors are merged and sorted,
+    each factor scaled to leading coefficient 1."""
     spec = local_spectrum(M)
     gsize = spec.units.n
     order = spec.characters[0].order
@@ -283,12 +289,13 @@ def factor_local(M):
         for i in rec.J:
             sizes *= Fraction(spec.orbit_sizes[i], gsize)
     constant = CycNum.from_rational(sizes) * prod_detA
-    factors = [(_chi_average(chi, spec.unit_ids, M.table,
-                             spec.reps[rec.annihilating]), len(rec.J))
-               for chi, rec in zip(spec.characters, spec.records)]
-    return Factorization.of(constant, factors, "local-monoid",
-                            notes=(f"unit group of order {gsize}, "
-                                   f"{len(spec.reps)} orbits",))
+    constant, factors = _monic(constant, [
+        (_chi_average(chi, spec.unit_ids, M.table,
+                      spec.reps[rec.annihilating]), len(rec.J))
+        for chi, rec in zip(spec.characters, spec.records)])
+    return Factorization("factored", constant, tuple(factors),
+                         "local-monoid", (f"unit group of order {gsize}, "
+                                          f"{len(spec.reps)} orbits",))
 
 
 def _chi_average(chi, unit_ids, table, target):
@@ -324,7 +331,7 @@ def factor_commutative(S):
     notes = []
     for e in sorted(dec.local_monoids):
         local, ambient = dec.local_monoids[e]
-        FL = factor_local(local)
+        FL = _local_factorization(local)
         if FL.status == "zero":
             return Factorization.zero(
                 "commutative-pipeline",

@@ -15,8 +15,8 @@ from .cyclotomic import CycNum, _combine, _phi, _product
 from .errors import (CocycleDomainMismatch, NoZero, NotAbelianWithoutReps,
                      NotAGroup, NotMultiplicative, RepDimensionMismatch,
                      SingularP, VerificationFailed)
-from .factorization import (Factorization, checked, random_points,
-                            random_table_check)
+from .factorization import (Factorization, _monic, checked,
+                            random_points, random_table_check)
 from .linalg import cyc_det, cyc_matrix_inverse, int_det
 from .poly import DEFAULT_CAP, Poly, det_poly_matrix
 from .semigroups import analyze
@@ -401,6 +401,13 @@ def factor_group_determinant(G, reps=None):
     permutation sign. An abelian answer carries its characters. The
     answer is not checked here; verify_against checks it.
     """
+    return _group_factorization(G, reps).normalized()
+
+
+def _group_factorization(G, reps):
+    """factor_group_determinant's answer before its factors are merged
+    and sorted: each factor is scaled to leading coefficient 1 already,
+    which the constant needs."""
     rep = analyze(G)
     if not rep.is_group:
         raise NotAGroup("group determinant needs a group")
@@ -424,11 +431,27 @@ def factor_group_determinant(G, reps=None):
                 "two supplied representations have identical traces")
         factors = [(_rep_factor(G, r), r.dim) for r in reps]
         provenance, characters = "frobenius", None
-    F = Factorization.of(CycNum.one(), factors, provenance)
+    _, factors = _monic(CycNum.one(), factors)
     # Graded lex is a monomial order and every factor has leading
     # coefficient 1, so the constant is the coefficient of x_0^n in theta:
-    # the sign of the permutation matrix [g h == 0].
-    sign = int_det([[int(G.table[g][h] == 0) for h in range(G.n)]
-                    for g in range(G.n)])
-    return replace(F, constant=CycNum.from_rational(sign),
-                   characters=characters)
+    # the sign of the permutation matrix [g h == 0], row g having its one
+    # in the column of the h with g h = 0.
+    column = [G.table[g].index(0) for g in range(G.n)]
+    return Factorization("factored",
+                         CycNum.from_rational(_permutation_sign(column)),
+                         tuple(factors), provenance, characters=characters)
+
+
+def _permutation_sign(perm):
+    """The sign of the permutation i -> perm[i] of 0..n-1: -1 to the power
+    n minus the number of its cycles."""
+    seen = [False] * len(perm)
+    parity = len(perm)
+    for start in range(len(perm)):
+        if not seen[start]:
+            parity -= 1
+            i = start
+            while not seen[i]:
+                seen[i] = True
+                i = perm[i]
+    return -1 if parity & 1 else 1

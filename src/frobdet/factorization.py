@@ -18,7 +18,7 @@ from .cyclotomic import CycNum, _phi, power_basis_bound
 from .errors import DimensionCap, VerificationFailed
 from .linalg import det_mod
 from .modular import fixed_prime, prime_for, root_of_unity
-from .poly import Poly, _add_product
+from .poly import Poly, _add_product, mono_deg
 
 RANDOM_BOUND = 10 ** 6
 
@@ -68,31 +68,39 @@ class Factorization:
 
     def normalized(self):
         """Scale each factor to make its graded-lex leading coefficient 1,
-        absorb the scaling into the constant, merge repeats, sort."""
+        absorb the scaling into the constant, merge equal factors, and
+        sort by degree, then canonical string, then cyclotomic order.
+        Factors are equal when they print the same at one order: z stands
+        for a different root at each order."""
         if self.status == "zero":
             return self
-        const = self.constant
+        const, factors = _monic(self.constant, self.factors)
         merged = {}
-        keys = {}
-        for f, m in self.factors:
-            if m <= 0:
-                raise ValueError("factor multiplicities must be positive")
-            lead = f.leading()[1]
-            if not lead.is_one():
-                const = const * lead ** m
-                f = f.scale(lead.inverse())
-            k = f.to_str()
-            if k in merged:
-                merged[k] = (merged[k][0], merged[k][1] + m)
-            else:
-                merged[k] = (f, m)
-                keys[k] = (f.total_degree(), k)
-        order = sorted(merged, key=lambda k: keys[k])
+        for f, m in factors:
+            text = f.to_str()
+            k = (mono_deg(f.printed()[0][0]), text, f.order)
+            merged[k] = (f, merged[k][1] + m if k in merged else m)
         return replace(self, constant=const,
-                       factors=tuple(merged[k] for k in order))
+                       factors=tuple(merged[k] for k in sorted(merged)))
 
     def with_verification(self, v):
         return replace(self, verification=v)
+
+
+def _monic(constant, factors):
+    """(constant, factors) with each factor scaled to graded-lex leading
+    coefficient 1 and the scaling absorbed into the constant; the factors
+    keep their order and are not merged."""
+    out = []
+    for f, m in factors:
+        if m <= 0:
+            raise ValueError("factor multiplicities must be positive")
+        lead = f.leading()[1]
+        if not lead.is_one():
+            constant = constant * lead ** m
+            f = f.scale(lead.inverse())
+        out.append((f, m))
+    return constant, out
 
 
 def equivalent(a, b):

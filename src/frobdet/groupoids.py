@@ -12,7 +12,7 @@ from math import lcm
 
 from . import poly
 from .cyclotomic import CycNum
-from .determinant import factor_group_determinant
+from .determinant import _group_factorization
 from .errors import (DimensionCap, NonabelianWithoutReps, NotApplicable,
                      NotClifford, NotInverse, VerificationFailed)
 from .factorization import Factorization
@@ -203,13 +203,13 @@ def factor_clifford(S, reps_by_idempotent=None):
         G, ids = maximal_subgroup(S, e)
         grep = analyze(G)
         if grep.is_commutative:
-            FG = factor_group_determinant(G)
+            FG = _group_factorization(G, None)
         else:
             if not reps_by_idempotent or e not in reps_by_idempotent:
                 raise NonabelianWithoutReps(
                     f"group at {S.name_of(e)} is nonabelian and no "
                     f"representations were supplied")
-            FG = factor_group_determinant(G, reps=reps_by_idempotent[e])
+            FG = _group_factorization(G, reps_by_idempotent[e])
         constant = constant * FG.constant
         remap = {j: sub[ids[j]] for j in range(G.n)}
         for f, m in FG.factors:

@@ -18,7 +18,7 @@ the expansion, are reduced mod Phi_N once at the end.
 from fractions import Fraction
 from math import lcm
 
-from .cyclotomic import (CycNum, _coerce, _combine, _phi, _rat_str,
+from .cyclotomic import (CycNum, _coerce, _combine, _phi,
                          _repeated_squaring, parse_cyc)
 from .errors import DimensionCap, MissingVariable, ParseError
 
@@ -62,8 +62,13 @@ def mono_deg(m):
 
 def _mono_key(m):
     """Sort key of graded lex: higher total degree wins, then the higher
-    power of the least-index variable where two monomials differ."""
-    return mono_deg(m), tuple((-v, e) for v, e in m)
+    power of the least-index variable where two monomials differ. A
+    monomial in one variable, the whole of a linear form, takes a short
+    path."""
+    if len(m) == 1:
+        (v, e), = m
+        return e, ((-v, e),)
+    return sum([e for _, e in m]), tuple([(-v, e) for v, e in m])
 
 
 def mono_str(m, names=None):
@@ -94,11 +99,12 @@ def _merge_terms(out, terms):
 class Poly:
     """Sparse polynomial with CycNum coefficients at a shared order."""
 
-    __slots__ = ("order", "terms")
+    __slots__ = ("order", "terms", "_printed")
 
     def __init__(self, order=1, terms=None):
         self.order = order
         self.terms = terms if terms is not None else {}
+        self._printed = None
 
     @staticmethod
     def zero(order=1):
@@ -228,10 +234,15 @@ class Poly:
         return out
 
     def leading(self):
-        """(monomial, coefficient) maximal in graded lex order."""
+        """(monomial, coefficient) maximal in graded lex order, the first
+        term of the canonical print: read from the print when it is built
+        and found by a scan otherwise, so that finding it prints nothing."""
         if not self.terms:
             raise ValueError("leading term of zero polynomial")
-        m = max(self.terms, key=_mono_key)
+        if self._printed is not None:
+            m = self._printed[0][0]
+        else:
+            m = max(self.terms, key=_mono_key)
         return m, self.terms[m]
 
     def coefficient(self, m):
@@ -280,19 +291,25 @@ class Poly:
             _merge_terms(terms, term.terms.items())
         return Poly(order, terms)
 
+    def printed(self):
+        """The canonical print as (monomial, coefficient string) pairs in
+        descending graded lex order, built on first use. No Poly's terms
+        change after construction, so the pairs never go stale."""
+        if self._printed is None:
+            terms = self.terms
+            self._printed = tuple(
+                (m, terms[m].to_str())
+                for m in sorted(terms, key=_mono_key, reverse=True))
+        return self._printed
+
     def to_str(self, names=None):
         """Canonical string, terms in descending graded lex order."""
         if not self.terms:
             return "0"
-        monos = sorted(self.terms, key=_mono_key, reverse=True)
         parts = []
-        for m in monos:
-            c = self.terms[m]
+        for m, c in self.printed():
             body, neg = _term_str(m, c, names)
-            if not parts:
-                parts.append(("-" if neg else "") + body)
-            else:
-                parts.append(("-" if neg else "+") + body)
+            parts.append(("-" if neg else "+" if parts else "") + body)
         return "".join(parts)
 
     __str__ = to_str
@@ -302,16 +319,18 @@ class Poly:
 
 
 def _term_str(m, c, names=None):
-    """Return (body, negated) for one term in the canonical print."""
-    if not c.is_rational():
-        body = f"({c.to_str()})"
+    """Return (body, negated) for one term in the canonical print, from
+    its monomial and its coefficient's string: a coefficient that is not
+    rational prints in parentheses and its string holds z."""
+    if "z" in c:
+        body = f"({c})"
         return (body + "*" + mono_str(m, names) if m else body), False
-    x = c.nums[0]
-    q = _rat_str(abs(x), c.den)
+    neg = c[0] == "-"
+    q = c[1:] if neg else c
     if not m:
-        return q, x < 0
+        return q, neg
     mono = mono_str(m, names)
-    return (mono if q == "1" else f"{q}*{mono}"), x < 0
+    return (mono if q == "1" else f"{q}*{mono}"), neg
 
 
 def _add_product(out, a, b):

@@ -74,6 +74,27 @@ def test_gen_pipe_factor():
     assert data["verification"]["equal"] is True
 
 
+def test_text_prints_every_factor_at_the_common_order():
+    # Z/3 above Z/4: factors of orders 3 and 4, printed under one z of
+    # order 12 in text as in JSON
+    path = str(DATA / "clifford_z3_z4.sgp")
+    code, text, _ = run_cli(["factor", path])
+    assert code == 0
+    _, out, _ = run_cli(["factor", path, "--json"])
+    data = json.loads(out)
+    assert data["cyclotomic_order"] == 12
+    assert ("cyclotomic order: 12 (z = a primitive root of unity of "
+            "order 12)") in text.splitlines()
+    names = tuple(data["variables"][f"x{i}"]
+                  for i in range(len(data["variables"])))
+    assert [ln for ln in text.splitlines() if ln.startswith("  (")] == [
+        f"  ({form_poly(f['form'], 12).to_str(names)})"
+        + (f"^{f['multiplicity']}" if f["multiplicity"] > 1 else "")
+        for f in data["factors"]]
+    assert "  (x_a0+(-z^2)*x_a1+(z^2-1)*x_a2)" in text.splitlines()
+    assert f"constant: {data['constant']}" in text.splitlines()
+
+
 def test_factor_dispatch_provenances():
     cases = [
         (emit_sgp(build_family("chain_semilattice", 3)), "wilf-lindstrom"),

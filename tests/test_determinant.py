@@ -1,3 +1,4 @@
+import random
 from dataclasses import replace
 from fractions import Fraction
 
@@ -22,8 +23,9 @@ from frobdet.linalg import int_det
 from frobdet.nilpotent import Cocycle, factor_nil_adjoined, parse_cocycle
 from frobdet.poly import DEFAULT_CAP, Poly, det_poly_matrix, parse_poly
 from frobdet.posets import factor_semilattice
-from frobdet.semigroups import (adjoin_zero, build_family, direct_product,
-                                group_of_units, subsemigroup, validate_table)
+from frobdet.semigroups import (adjoin_zero, analyze, build_family,
+                                direct_product, group_of_units, subsemigroup,
+                                validate_table)
 
 from corpus import wenger_monoid, zmult
 
@@ -286,6 +288,30 @@ def test_group_constant_is_leading_coefficient():
     for G, reps in groups:
         F = factor_group_determinant(G, reps=reps)
         assert F.constant == paratrophic_determinant(G).leading()[1], G.n
+
+
+def test_the_group_sign_is_the_permutation_parity(commutative_tables):
+    # every group of the commutative tables of order 4 or less (element 0
+    # is not always the identity there), Z/n up to 32, unit groups of
+    # Z/n under multiplication, and S3
+    groups = [S for tables in commutative_tables.values() for S in tables
+              if analyze(S).is_group]
+    groups += [build_family("zmod_add", n) for n in range(1, 33)]
+    groups += [group_of_units(zmult(n))[0] for n in range(2, 25)]
+    groups.append(group_of_units(build_family("full_transform", 3))[0])
+    assert any(S.identity != 0 for S in groups)
+    for G in groups:
+        column = [G.table[g].index(0) for g in range(G.n)]
+        assert determinant._permutation_sign(column) == int_det(
+            [[int(G.table[g][h] == 0) for h in range(G.n)]
+             for g in range(G.n)]), G.n
+    rng = random.Random(20)
+    for n in range(1, 41):
+        for _ in range(3):
+            perm = list(range(n))
+            rng.shuffle(perm)
+            assert determinant._permutation_sign(perm) == int_det(
+                [[int(perm[i] == j) for j in range(n)] for i in range(n)])
 
 
 def _answer(S, route, mode="plain"):
