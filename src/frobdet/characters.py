@@ -112,14 +112,6 @@ def character_group(G):
     return chars
 
 
-def character_pairing(G, chi, psi):
-    """sum_g chi(g) * conj(psi(g)), which is |G| when equal else 0."""
-    total = CycNum.zero(chi.order)
-    for g in range(G.n):
-        total = total + chi.value(g) * psi.value(g).conj()
-    return total
-
-
 def nonreal_pair_representatives(chars):
     """One representative from each conjugate pair of non-real characters,
     the lexicographically earlier one in the given listing."""

@@ -58,13 +58,19 @@ def form_poly(form, order):
         .terms.items()))
 
 
+def _rational(p):
+    return all(c.is_rational() for c in p.terms.values())
+
+
 def _at_common_order(F):
     """(N, constant, factors) of F with its constant and every factor at
     N, the lcm of their cyclotomic orders, so that z means zeta_N
-    throughout."""
+    throughout. A factor with rational coefficients prints the same at
+    every order, so it keeps its own order and its print."""
     order = lcm(F.constant.order, *(f.order for f, _ in F.factors))
     return (order, F.constant.embed(order),
-            [(f.at_order(order), m) for f, m in F.factors])
+            [(f if f.order == order or _rational(f) else f.at_order(order), m)
+             for f, m in F.factors])
 
 
 def factorization_data(F, S):
@@ -103,9 +109,8 @@ def factorization_lines(F, S):
     if F.status == "factored":
         order, constant, factors = _at_common_order(F)
         out.append(f"constant: {constant.to_str()}")
-        if not constant.is_rational() or any(
-                not c.is_rational() for f, _ in F.factors
-                for c in f.terms.values()):
+        if not constant.is_rational() or not all(
+                _rational(f) for f, _ in F.factors):
             out.append(f"cyclotomic order: {order} "
                        f"(z = a primitive root of unity of order {order})")
         out.append("factors:")
@@ -706,9 +711,10 @@ def run(argv):
         args = parser.parse_args(argv)
     except SystemExit as e:
         return e.code if e.code is not None else 0
-    if args.threads < 1:
-        print("error: --threads must be at least 1", file=sys.stderr)
-        return 2
+    for flag, least in (("threads", 1), ("cap", 0)):
+        if getattr(args, flag, least) < least:
+            print(f"error: --{flag} must be at least {least}", file=sys.stderr)
+            return 2
     try:
         return args.func(args)
     except FrobdetError as e:

@@ -17,14 +17,13 @@ from fractions import Fraction
 
 from .characters import character_group, nonreal_pair_representatives
 from .cyclotomic import CycNum
-from .determinant import paratrophic_determinant
 from .errors import (IdempotentsNotCentral, NotChain, NotCommutative,
                      NotIdempotentSemigroup, NotLocalShape)
 from .factorization import Factorization, _monic
 from .linalg import cyc_det
 from .nilpotent import (Cocycle, analyze_nilpotent, annihilator_matrix,
                         first_non_nilpotent)
-from .poly import DEFAULT_CAP, Poly
+from .poly import Poly
 from .posets import forms_of, natural_order, splus_map
 from .semigroups import (analyze, group_of_units, validate_table,
                          _fresh_label)
@@ -88,24 +87,6 @@ def splus_decompose(S):
         _local_shape(local)
         local_monoids[e] = (local, tuple(members) + (None,))
     return SplusDecomposition(splus, order, classes, ideals, local_monoids)
-
-
-def global_decomposition_check(S, cap=DEFAULT_CAP):
-    """Verify symbolically that the determinant of S is the product of the
-    local contracted determinants at the Mobius forms."""
-    dec = splus_decompose(S)
-    sub = forms_of(dec.order)
-    theta = paratrophic_determinant(S, mode="plain", cap=cap)
-    prod = Poly.const(1)
-    components = []
-    for e in sorted(dec.local_monoids):
-        local, ambient = dec.local_monoids[e]
-        th = paratrophic_determinant(local, mode="contracted", cap=cap)
-        mapped = th.substitute({v: sub[ambient[v]] for v in th.variables()})
-        prod = prod * mapped
-        components.append({"idempotent": e, "class_size": local.n - 1,
-                           "vanishes": th.is_zero()})
-    return {"equal": theta == prod, "components": components}
 
 
 def _local_shape(M):

@@ -1,5 +1,6 @@
 """Semigroup determinants: the matrix [x_{st}], its contracted and twisted
-variants, vanishing tests, change of basis, and group determinants.
+variants, their check against an answer, vanishing tests, and group
+determinants.
 
 Variables are indexed by element id: entry (s, t) of the plain matrix is
 the variable x_{st}. Contracted matrices keep the ambient ids and drop the
@@ -14,10 +15,10 @@ from .characters import character_group
 from .cyclotomic import CycNum, _combine, _phi, _product
 from .errors import (CocycleDomainMismatch, NoZero, NotAbelianWithoutReps,
                      NotAGroup, NotMultiplicative, RepDimensionMismatch,
-                     SingularP, VerificationFailed)
+                     VerificationFailed)
 from .factorization import (Factorization, _monic, checked,
                             random_points, random_table_check)
-from .linalg import cyc_det, cyc_matrix_inverse, int_det
+from .linalg import int_det
 from .poly import DEFAULT_CAP, Poly, det_poly_matrix
 from .semigroups import analyze
 
@@ -211,31 +212,6 @@ def _unlift_zero(F, z):
     return replace(F, factors=tuple(factors))
 
 
-def backnforth_check(S, cap=DEFAULT_CAP):
-    """For S with a zero, check the two determinant translations.
-
-    Forward: theta(X) = x_z * thetac(Y) with y_s = x_s - x_z, where thetac
-    is the contracted determinant. Backward: thetac is theta / x_z with
-    x_z set to 0 afterwards. Returns the check record."""
-    if S.zero is None:
-        raise NoZero("translation needs a zero element")
-    z = S.zero
-    theta = paratrophic_determinant(S, cap=cap)
-    thetac = paratrophic_determinant(S, mode="contracted", cap=cap)
-    xz = Poly.variable(z)
-    sub = {s: Poly.variable(s) - xz for s in range(S.n) if s != z}
-    forward = xz * thetac.substitute(sub)
-    ok_forward = forward == theta
-    # theta / x_z at x_z = 0: the terms where x_z has exponent 1, with x_z
-    # struck out. The zero row of the matrix puts x_z in every term.
-    quot = Poly(theta.order, {tuple(p for p in m if p[0] != z): c
-                              for m, c in theta.terms.items()
-                              if dict(m).get(z) == 1})
-    ok_backward = quot == thetac
-    return {"forward": ok_forward, "backward": ok_backward,
-            "equal": ok_forward and ok_backward}
-
-
 @dataclass(frozen=True)
 class FrobeniusResult:
     status: str  # "frobenius" | "not_frobenius" | "inconclusive"
@@ -294,36 +270,6 @@ def _as_cyc(x, order=1):
     if isinstance(x, CycNum):
         return x
     return CycNum.from_rational(Fraction(x), order)
-
-
-def transport_basis(theta_prime, P, row_vars=None, col_vars=None):
-    """Rewrite a determinant after a change of basis.
-
-    If theta_prime is the determinant for a basis B' and P is the matrix
-    of the new basis B in terms of B' (columns indexed by B), the original
-    determinant is det(P)^2 times theta_prime with each variable x_{b'}
-    replaced by sum_b Pinv[b][b'] x_b.
-    """
-    n = len(P)
-    mat = [[_as_cyc(v) for v in row] for row in P]
-    for row in mat:
-        if len(row) != n:
-            raise SingularP("change of basis matrix is not square")
-    detP = cyc_det(mat)
-    if detP.is_zero():
-        raise SingularP("change of basis matrix is singular")
-    inv = cyc_matrix_inverse(mat)
-    if row_vars is None:
-        row_vars = tuple(range(n))
-    if col_vars is None:
-        col_vars = tuple(row_vars)
-    sub = {}
-    for j in range(n):
-        sub[row_vars[j]] = Poly.linear({col_vars[i]: inv[i][j]
-                                        for i in range(n)})
-    out = theta_prime.substitute(sub)
-    scale = detP * detP
-    return out.scale(scale)
 
 
 @dataclass(frozen=True)

@@ -73,10 +73,6 @@ class MissingVariable(FrobdetError):
     pass
 
 
-class NotUnitriangular(FrobdetError):
-    pass
-
-
 class NotAGroup(FrobdetError):
     pass
 
@@ -110,10 +106,6 @@ class NoZero(FrobdetError):
 
 
 class CocycleDomainMismatch(FrobdetError):
-    pass
-
-
-class SingularP(FrobdetError):
     pass
 
 

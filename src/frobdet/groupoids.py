@@ -14,19 +14,11 @@ from . import poly
 from .cyclotomic import CycNum
 from .determinant import _group_factorization
 from .errors import (DimensionCap, NonabelianWithoutReps, NotApplicable,
-                     NotClifford, NotInverse, VerificationFailed)
+                     NotClifford, VerificationFailed)
 from .factorization import Factorization
 from .poly import DEFAULT_CAP, Poly, det_poly_matrix
 from .posets import forms_of, mobius_forms, natural_order
 from .semigroups import analyze, maximal_subgroup, star_map
-
-
-def is_inverse(S):
-    try:
-        star_map(S)
-        return True
-    except NotInverse:
-        return False
 
 
 @dataclass(frozen=True)

@@ -1,11 +1,10 @@
-"""Exact linear algebra over the integers, over cyclotomic fields and
-modulo a prime."""
+"""Exact determinants over the integers, over cyclotomic fields and modulo
+a prime."""
 
 from functools import lru_cache
 from math import gcd, isqrt, lcm
 
 from .cyclotomic import CycNum, cyclotomic_polynomial, power_basis_bound
-from .errors import NotUnitriangular, SingularP
 from .modular import fixed_prime
 
 
@@ -141,65 +140,3 @@ def cyc_det(matrix):
         i += 1
     return CycNum.from_numerators(
         order, [c - modulus if 2 * c > modulus else c for c in coords], scale)
-
-
-def cyc_matrix_inverse(matrix):
-    """Inverse of a CycNum matrix by Gauss-Jordan; raises SingularP. Does
-    not modify its argument."""
-    n = len(matrix)
-    order = _common_order(matrix)
-    m = [[v.embed(order) for v in row] for row in matrix]
-    inv = [[CycNum.one(order) if i == j else CycNum.zero(order)
-            for j in range(n)] for i in range(n)]
-    for k in range(n):
-        pivot_row = None
-        for r in range(k, n):
-            if not m[r][k].is_zero():
-                pivot_row = r
-                break
-        if pivot_row is None:
-            raise SingularP("matrix is singular")
-        if pivot_row != k:
-            m[k], m[pivot_row] = m[pivot_row], m[k]
-            inv[k], inv[pivot_row] = inv[pivot_row], inv[k]
-        pi = m[k][k].inverse()
-        m[k] = [v * pi for v in m[k]]
-        inv[k] = [v * pi for v in inv[k]]
-        for r in range(n):
-            if r != k and not m[r][k].is_zero():
-                f = m[r][k]
-                m[r] = [a - f * b for a, b in zip(m[r], m[k])]
-                inv[r] = [a - f * b for a, b in zip(inv[r], inv[k])]
-    return inv
-
-
-def unitriangular_inverse(matrix, extension):
-    """Invert an integer matrix that is unitriangular when rows and columns
-    are listed in the given linear extension. Returns an integer matrix in
-    the original indexing."""
-    n = len(matrix)
-    pos = {v: i for i, v in enumerate(extension)}
-    if len(pos) != n or set(pos) != set(range(n)):
-        raise NotUnitriangular("extension is not a permutation of indices")
-    for a in range(n):
-        if matrix[a][a] != 1:
-            raise NotUnitriangular(f"diagonal entry at {a} is {matrix[a][a]}, not 1")
-        for b in range(n):
-            if matrix[a][b] != 0 and pos[a] > pos[b]:
-                raise NotUnitriangular(
-                    f"nonzero entry at ({a}, {b}) below the diagonal")
-    perm = [[matrix[extension[i]][extension[j]] for j in range(n)] for i in range(n)]
-    # back substitution column by column; the inverse is again unitriangular
-    q = [[0] * n for _ in range(n)]
-    for j in range(n):
-        q[j][j] = 1
-        for i in range(j - 1, -1, -1):
-            s = 0
-            for k in range(i + 1, j + 1):
-                s -= perm[i][k] * q[k][j]
-            q[i][j] = s
-    out = [[0] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            out[extension[i]][extension[j]] = q[i][j]
-    return out

@@ -255,20 +255,6 @@ def maximal_subgroup(S, e):
     return units, [ids[i] for i in unit_ids]
 
 
-def direct_product(A, B, size_cap=SIZE_CAP):
-    """Componentwise product on pairs, ordered (a, b) -> a * |B| + b."""
-    if A.n * B.n > size_cap:
-        raise SizeOverflow(f"product size {A.n * B.n} exceeds cap {size_cap}")
-    rows = [[A.table[a][c] * B.n + B.table[b][d]
-             for c in range(A.n) for d in range(B.n)]
-            for a in range(A.n) for b in range(B.n)]
-    names = None
-    if A.names or B.names:
-        names = tuple(f"{A.name_of(a)}.{B.name_of(b)}"
-                      for a in range(A.n) for b in range(B.n))
-    return _derived(rows, names)
-
-
 def adjoin_identity(S):
     """S with a new identity appended as the last element."""
     n = S.n
@@ -474,31 +460,6 @@ def build_family(family, *params):
             raise ParamOutOfRange(
                 f"family {family} takes an integer parameter, got {param!r}")
     return FAMILIES[family](param)
-
-
-def enumerate_commutative(n):
-    """All commutative semigroup tables on 0..n-1, raw (no isomorphism
-    collapsing), by filtering symmetric tables for associativity."""
-    if n > 4:
-        raise SizeTooLarge("exhaustive commutative enumeration supports n <= 4")
-    if n < 1:
-        raise ParamOutOfRange("need n >= 1")
-    cells = [(i, j) for i in range(n) for j in range(i, n)]
-    triples = [(a, b, c) for a in range(n) for b in range(n) for c in range(n)]
-    out = []
-    for assign in iproduct(range(n), repeat=len(cells)):
-        t = [[0] * n for _ in range(n)]
-        for (i, j), v in zip(cells, assign):
-            t[i][j] = v
-            t[j][i] = v
-        ok = True
-        for a, b, c in triples:
-            if t[t[a][b]][c] != t[a][t[b][c]]:
-                ok = False
-                break
-        if ok:
-            out.append(validate_table(t))
-    return out
 
 
 # .sgp text format

@@ -1,6 +1,6 @@
 import pytest
 
-from frobdet.semigroups import enumerate_commutative
+from oracles import enumerate_commutative
 
 
 @pytest.fixture(scope="session")

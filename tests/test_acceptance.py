@@ -9,14 +9,12 @@ from fractions import Fraction
 from frobdet.commutative import chain_fastpath, factor_commutative, \
     factor_local
 from frobdet.cyclotomic import CycNum
-from frobdet.determinant import (backnforth_check, factor_group_determinant,
-                                 frobenius_test, paratrophic_determinant,
-                                 transport_basis, verify_against)
-from frobdet.factorization import equivalent
+from frobdet.determinant import (factor_group_determinant, frobenius_test,
+                                 paratrophic_determinant, verify_against)
 from frobdet.groupoids import factor_clifford, groupoid_structure, \
     inverse_determinant
 from frobdet.linalg import int_det
-from frobdet.characters import character_group, character_pairing
+from frobdet.characters import character_group
 from frobdet.nilpotent import analyze_nilpotent, factor_nil_adjoined
 from frobdet.poly import Poly
 from frobdet.posets import (factor_semilattice, mobius, natural_order,
@@ -24,10 +22,11 @@ from frobdet.posets import (factor_semilattice, mobius, natural_order,
 from frobdet.rings import FiniteFieldSpec, frobenius_form_check, \
     kovacs_check, matrix_monoid, zmod_monoid
 from frobdet.semigroups import (adjoin_zero, analyze, build_family,
-                                direct_product, group_of_units, parse_sgp,
-                                validate_table)
+                                group_of_units, parse_sgp, validate_table)
 
 from corpus import enumerate_bands, zmult
+from oracles import (backnforth_check, character_pairing, direct_product,
+                     equivalent, transport_basis)
 from test_determinant import _s3_reps
 
 DATA = pathlib.Path(__file__).resolve().parent.parent / "data"

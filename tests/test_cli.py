@@ -667,6 +667,21 @@ def test_exit_codes():
     assert code == 2
 
 
+def test_smith_rejects_sizes_outside_1_to_256():
+    for n in ("-3", "0", "257"):
+        assert run_cli(["smith", n]) == (
+            1, "", f"error: gcd matrix size {n} outside 1..256\n")
+    assert run_cli(["smith", "1"])[0] == 0
+
+
+@pytest.mark.parametrize("argv", [["factor", "-"], ["factor", "-", "--json"],
+                                  ["det", "-"], ["frobenius", "-"]])
+def test_a_negative_cap_exits_2(argv):
+    sgp = emit_sgp(build_family("gcd", 4))
+    assert run_cli(argv + ["--cap", "-1"], stdin=sgp) == (
+        2, "", "error: --cap must be at least 0\n")
+
+
 def test_gen_adjoin_takes_sgp_input():
     _, z3, _ = run_cli(["gen", "zmod_add", "3"])
     code, out, _ = run_cli(["gen", "adjoin_zero", "-"], stdin=z3)

@@ -1,17 +1,17 @@
 import pytest
 from corpus import eleven_monoid, wenger_monoid, zmult
+from oracles import (enumerate_commutative, equivalent,
+                     global_decomposition_check)
 
 from frobdet.commutative import (chain_fastpath, factor_commutative,
-                                 factor_local, global_decomposition_check,
-                                 local_spectrum, splus_decompose)
+                                 factor_local, local_spectrum,
+                                 splus_decompose)
 from frobdet.determinant import (factor_group_determinant,
                                  paratrophic_determinant, verify_against)
 from frobdet.errors import (IdempotentsNotCentral, NotChain, NotCommutative,
                             NotIdempotentSemigroup, NotLocalShape)
-from frobdet.factorization import equivalent
 from frobdet.posets import factor_semilattice, mobius_forms
-from frobdet.semigroups import (adjoin_zero, build_family,
-                                enumerate_commutative, validate_table)
+from frobdet.semigroups import adjoin_zero, build_family, validate_table
 
 
 def strs(F):

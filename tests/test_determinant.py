@@ -7,27 +7,26 @@ import pytest
 from frobdet.commutative import factor_commutative, factor_local
 from frobdet.cyclotomic import CycNum
 from frobdet import determinant
-from frobdet.determinant import (RepMatrix, backnforth_check, cayley_matrix,
+from frobdet.determinant import (RepMatrix, cayley_matrix,
                                  factor_group_determinant, frobenius_test,
-                                 paratrophic_determinant, transport_basis,
-                                 verify_against)
+                                 paratrophic_determinant, verify_against)
 from frobdet.errors import (CocycleDomainMismatch, FrobdetError, NoZero,
                             NotAbelianWithoutReps, NotAGroup,
                             NotMultiplicative, RepDimensionMismatch,
-                            SingularP, VerificationFailed)
-from frobdet.factorization import (Factorization, checked, equivalent,
-                                   lift_zero, random_points,
-                                   random_table_check)
+                            VerificationFailed)
+from frobdet.factorization import (Factorization, checked, lift_zero,
+                                   random_points, random_table_check)
 from frobdet.groupoids import factor_clifford
 from frobdet.linalg import int_det
 from frobdet.nilpotent import Cocycle, factor_nil_adjoined, parse_cocycle
 from frobdet.poly import DEFAULT_CAP, Poly, det_poly_matrix, parse_poly
 from frobdet.posets import factor_semilattice
 from frobdet.semigroups import (adjoin_zero, analyze, build_family,
-                                direct_product, group_of_units, subsemigroup,
-                                validate_table)
+                                group_of_units, subsemigroup, validate_table)
 
 from corpus import wenger_monoid, zmult
+from oracles import (SingularP, backnforth_check, direct_product, equivalent,
+                     transport_basis)
 
 
 def test_plain_matrix_and_det_z2():

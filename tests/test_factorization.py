@@ -123,9 +123,11 @@ def test_one_normalization_per_request(S, provenance, monkeypatch):
 
 
 def test_each_coefficient_is_printed_once(monkeypatch):
-    data, calls = run_json(build_family("zmod_add", 16), monkeypatch,
-                           cyclotomic.CycNum, "to_str")
-    assert data["verification"]["mode"] == "randomized"
-    coefficients = sum(len(f["form"]) for f in data["factors"])
-    assert coefficients == 256
-    assert calls == coefficients + 1
+    # in adjoin_zero(zmod_add 5), x_z has order 1 and the other factors 5
+    for S, mode, coefficients in (
+            (build_family("zmod_add", 16), "randomized", 256),
+            (adjoin_zero(build_family("zmod_add", 5)), "exact", 27)):
+        data, calls = run_json(S, monkeypatch, cyclotomic.CycNum, "to_str")
+        assert data["verification"]["mode"] == mode
+        assert sum(len(f["form"]) for f in data["factors"]) == coefficients
+        assert calls == coefficients + 1

@@ -9,13 +9,14 @@ import pytest
 from frobdet import cli, linalg, poly
 from frobdet.cyclotomic import CycNum
 from frobdet.determinant import cayley_matrix
-from frobdet.errors import (DimensionCap, MissingVariable, NotUnitriangular,
-                            ParseError, SingularP)
-from frobdet.linalg import (cyc_det, cyc_matrix_inverse, det_mod, int_det,
-                            unitriangular_inverse)
+from frobdet.errors import DimensionCap, MissingVariable, ParseError
+from frobdet.linalg import cyc_det, det_mod, int_det
 from frobdet.factorization import Factorization, verify_factorization
 from frobdet.poly import Poly, det_poly_matrix, parse_poly
 from frobdet.semigroups import build_family
+
+from oracles import (NotUnitriangular, SingularP, cyc_matrix_inverse,
+                     unitriangular_inverse)
 
 
 def x(i):

@@ -6,7 +6,6 @@ import pytest
 from frobdet.commutative import chain_fastpath, factor_commutative
 from frobdet.cyclotomic import CycNum
 from frobdet.errors import OutOfRange, SizeOverflow
-from frobdet.factorization import equivalent
 from frobdet.linalg import cyc_det
 from frobdet.rings import (FiniteFieldSpec, frobenius_form_check,
                            kovacs_check, matrix_monoid, zmod_monoid)
