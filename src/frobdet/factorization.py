@@ -12,6 +12,7 @@ from collections import Counter
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from math import gcd, lcm
+from operator import itemgetter, mul
 
 from . import poly
 from .cyclotomic import CycNum, _phi, power_basis_bound
@@ -113,6 +114,15 @@ def random_points(variables, seed, rounds):
         yield {v: rng.randint(-RANDOM_BOUND, RANDOM_BOUND) for v in variables}
 
 
+def _gather(indices):
+    """A function from a sequence or a dict to the tuple of its entries at
+    the given indices (itemgetter alone returns a bare entry for one)."""
+    if len(indices) == 1:
+        i, = indices
+        return lambda x: (x[i],)
+    return itemgetter(*indices)
+
+
 class _Reduction:
     """Reduction of cyclotomic values mod a prime p = 1 (mod N) above 2^61
     chosen from the seed, with zeta_N sent to a primitive N-th root of
@@ -126,19 +136,27 @@ class _Reduction:
         avoid = lcm(1, *(c.den for c in values))
         self.p = prime_for(self.order, seed, avoid)
         self.root = root_of_unity(self.order, self.p)
+        # order M of a value -> the images of its power basis,
+        # root^(j*N/M) mod p for j < phi(M)
+        self.powers = {}
 
     def image(self, c):
-        p, step = self.p, self.order // c.order
-        total = 0
-        for j, x in enumerate(c.nums):
-            if x:
-                total += x * pow(self.root, j * step, p)
-        return total * pow(c.den, -1, p) % p
+        p, powers = self.p, self.powers.get(c.order)
+        if powers is None:
+            step = self.order // c.order
+            powers = self.powers[c.order] = [
+                pow(self.root, j * step, p) for j in range(len(c.nums))]
+        return sum(map(mul, c.nums, powers)) * pow(c.den, -1, p) % p
 
     def poly(self, f):
-        """A function from an integer point to the value of f there mod p."""
+        """A function from an integer point to the value of f there mod p;
+        a linear form is one sum over its variables."""
         p = self.p
         terms = [(m, self.image(c)) for m, c in f.terms.items()]
+        if terms and all(len(m) == 1 and m[0][1] == 1 for m, _ in terms):
+            coefficients = [c for _, c in terms]
+            at = _gather([m[0][0] for m, _ in terms])
+            return lambda point: sum(map(mul, coefficients, at(point))) % p
 
         def value(point):
             total = 0
@@ -388,17 +406,17 @@ def random_table_check(S, F, mode="plain", cocycle=None, seed=0, rounds=5):
     twist = {(a, b): cocycle.value(a, b) for a in basis for b in basis
              if t[a][b] != z} if mode == "twisted" else {}
     reduction = _Reduction(_values(F) + list(twist.values()), seed)
-
-    def weight(a, b):
-        if (a, b) in twist:
-            return reduction.image(twist[a, b])
-        return 1 if mode == "plain" or t[a][b] != z else 0
-
-    cells = [[(t[a][b], weight(a, b)) for b in basis] for a in basis]
+    rows = [_gather([t[a][b] for b in basis]) for a in basis]
+    weights = [[reduction.image(twist[a, b]) if (a, b) in twist else 0
+                for b in basis] for a in basis] if twist else None
 
     def det_at(point):
-        return det_mod([[point[s] * w if w else 0 for s, w in row]
-                        for row in cells], reduction.p)
+        # x_z is 0 in the contracted and twisted matrices
+        x = [point.get(s, 0) for s in range(S.n)]
+        m = [row(x) for row in rows]
+        if weights:
+            m = [list(map(mul, r, w)) for r, w in zip(m, weights)]
+        return det_mod(m, reduction.p)
     return _randomized_record(F, det_at, basis, reduction, seed, rounds)
 
 

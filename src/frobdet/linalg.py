@@ -36,16 +36,26 @@ def int_det(matrix):
 
 def det_mod(matrix, p):
     """Determinant mod a prime p of a matrix of integers, by Gaussian
-    elimination.
+    elimination; does not modify its argument.
+
+    A matrix equal to its transpose is first eliminated on its upper
+    triangle alone (see _symmetric_steps); when no remaining diagonal
+    entry is nonzero mod p, the remaining block is mirrored and the
+    general elimination below finishes it.
 
     Entries are reduced mod p only where they are read: in the pivot
     column and, once per step and only when some row needs it, in the
     pivot row. A row update subtracts f*b, with f, b < p, at the columns
     right of the pivot where the reduced pivot row b is nonzero, so after
-    at most n updates an entry is still within n*p^2 of its start."""
+    at most n updates an entry is still within n*p^2 of its start, on
+    either path."""
     m = [list(row) for row in matrix]
-    n, det = len(m), 1
-    for k in range(n):
+    n, k, det = len(m), 0, 1
+    if m == list(map(list, zip(*m))):
+        k, det = _symmetric_steps(m, p)
+        for i in range(k + 1, n):
+            m[i][k:i] = [m[j][i] for j in range(k, i)]
+    for k in range(k, n):
         for r in range(k, n):
             if v := m[r][k] % p:
                 break
@@ -66,6 +76,42 @@ def det_mod(matrix, p):
                 for j, b in pivot:
                     row[j] -= f * b
     return det % p
+
+
+def _symmetric_steps(m, p):
+    """Eliminate the symmetric matrix m in place, reading and writing only
+    its upper triangle: the Schur complement of a symmetric matrix is
+    symmetric, so row i of the remaining block needs its columns j >= i
+    alone. Each step takes its pivot from a diagonal entry of the
+    remaining block that is nonzero mod p, moved to the front by swapping
+    its row and its column with the first remaining ones; a symmetric
+    permutation leaves the determinant unchanged. Returns (k, the product
+    of the pivots mod p), where k is n when every step found a pivot, and
+    otherwise the first step that found none; the upper triangle of rows
+    and columns k and on is then that of the remaining block."""
+    n, det = len(m), 1
+    for k in range(n):
+        for r in range(k, n):
+            if m[r][r] % p:
+                break
+        else:
+            return k, det
+        a = m[k]
+        if r != k:
+            b = m[r]
+            a[k], b[r] = b[r], a[k]
+            for j in range(k + 1, r):
+                a[j], m[j][r] = m[j][r], a[j]
+            a[r + 1:], b[r + 1:] = b[r + 1:], a[r + 1:]
+        v = a[k] % p
+        det = det * v % p
+        inv = pow(v, -1, p)
+        pivot = [(j, b) for j in range(k + 1, n) if (b := a[j] % p)]
+        for t, (i, c) in enumerate(pivot):
+            f, row = c * inv % p, m[i]
+            for j, b in pivot[t:]:
+                row[j] -= f * b
+    return n, det
 
 
 def _common_order(matrix):

@@ -368,10 +368,16 @@ def _three_nil(bits):
     return validate_table(rows, names)
 
 
+def _check_points(family, n):
+    """Reject a number of points outside 1..3 for the map families."""
+    if not 1 <= n <= 3:
+        error = SizeTooLarge if n > 3 else ParamOutOfRange
+        raise error(f"{family} family size {n} outside 1..3")
+
+
 def _rook(n):
     """Partial injective maps on n points under composition."""
-    if not 1 <= n <= 3:
-        raise SizeTooLarge("rook family supports n <= 3")
+    _check_points("rook", n)
     maps = []
     for img in iproduct(range(n + 1), repeat=n):  # n encodes undefined
         vals = [v for v in img if v < n]
@@ -390,8 +396,7 @@ def _rook(n):
 
 def _full_transform(n):
     """All self-maps of n points under composition."""
-    if not 1 <= n <= 3:
-        raise SizeTooLarge("full_transform family supports n <= 3")
+    _check_points("full_transform", n)
     maps = sorted(iproduct(range(n), repeat=n))
     idx = {m: i for i, m in enumerate(maps)}
 

@@ -4,8 +4,7 @@ from math import lcm
 import pytest
 
 from frobdet.cyclotomic import CycNum
-from frobdet.characters import (Character, character_group,
-                                nonreal_pair_representatives)
+from frobdet.characters import character_group, nonreal_pair_representatives
 from frobdet.errors import NotAbelian, NotAGroup
 from frobdet.semigroups import (build_family, group_of_units,
                                 group_exponent, validate_table)

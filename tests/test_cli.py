@@ -674,6 +674,14 @@ def test_smith_rejects_sizes_outside_1_to_256():
     assert run_cli(["smith", "1"])[0] == 0
 
 
+@pytest.mark.parametrize("family, n", [("rook", "0"), ("rook", "-1"),
+                                       ("rook", "4"), ("full_transform", "0"),
+                                       ("full_transform", "4")])
+def test_map_families_reject_sizes_outside_1_to_3(family, n):
+    assert run_cli(["gen", family, n]) == (
+        1, "", f"error: {family} family size {n} outside 1..3\n")
+
+
 @pytest.mark.parametrize("argv", [["factor", "-"], ["factor", "-", "--json"],
                                   ["det", "-"], ["frobenius", "-"]])
 def test_a_negative_cap_exits_2(argv):

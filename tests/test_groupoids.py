@@ -10,7 +10,7 @@ from frobdet.groupoids import (_check_groupoid_order, connected_components,
                                groupoid_structure, inverse_determinant,
                                star_map)
 from frobdet.posets import mobius_forms, natural_order
-from frobdet.semigroups import adjoin_zero, build_family, validate_table
+from frobdet.semigroups import adjoin_zero, build_family
 
 from oracles import direct_product, is_inverse
 

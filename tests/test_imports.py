@@ -8,7 +8,8 @@ import frobdet
 from frobdet import errors
 
 PACKAGE = pathlib.Path(frobdet.__file__).resolve().parent
-ORACLES = pathlib.Path(__file__).resolve().parent / "oracles.py"
+TESTS = pathlib.Path(__file__).resolve().parent
+ORACLES = TESTS / "oracles.py"
 
 
 def unused_imports(source):
@@ -30,7 +31,8 @@ def test_finds_an_unused_import():
     assert unused_imports("from a.b import c as d\nd()\n") == []
 
 
-@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")) + [ORACLES],
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py"))
+                         + sorted(TESTS.glob("*.py")),
                          ids=lambda p: p.name)
 def test_no_unused_module_level_imports(path):
     assert unused_imports(path.read_text()) == []

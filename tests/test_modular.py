@@ -15,9 +15,10 @@ from frobdet.modular import (MIN_PRIME, fixed_prime, is_prime, prime_for,
                              root_of_unity)
 from frobdet.nilpotent import factor_nil_adjoined, parse_cocycle
 from frobdet.poly import Poly
-from frobdet.semigroups import build_family
+from frobdet.semigroups import build_family, group_of_units
 
 from corpus import wenger_monoid
+from test_determinant import _s3_reps
 
 
 def test_miller_rabin_agrees_with_a_sieve():
@@ -75,17 +76,23 @@ def exact_record(S, F, mode, cocycle, seed, rounds=5):
             "seed": seed}
 
 
-def answer(mode):
-    """A table, a right answer and the determinant it names, per mode."""
-    if mode == "plain":
+def answer(case):
+    """A table, a right answer, its cocycle and the mode of the
+    determinant it names, per case. Only S3's plain matrix is not
+    symmetric."""
+    if case == "plain":
         G = build_family("zmod_add", 5)
-        return G, factor_group_determinant(G), None
-    if mode == "contracted":
+        return G, factor_group_determinant(G), None, "plain"
+    if case == "s3":
+        S3, _ = group_of_units(build_family("full_transform", 3))
+        F = factor_group_determinant(S3, reps=_s3_reps(S3))
+        return S3, F, None, "plain"
+    if case == "contracted":
         M = wenger_monoid()
-        return M, factor_local(M), None
+        return M, factor_local(M), None, "contracted"
     M = build_family("three_nil", "10,01")
     cocycle = parse_cocycle("order 4\ns1 s1 z\n", M)
-    return M, factor_nil_adjoined(M, cocycle), cocycle
+    return M, factor_nil_adjoined(M, cocycle), cocycle, "twisted"
 
 
 def corruptions(F, basis):
@@ -101,9 +108,9 @@ def corruptions(F, basis):
     yield "variable substituted", replace(F, factors=((swapped, m),) + rest)
 
 
-@pytest.mark.parametrize("mode", ["plain", "contracted", "twisted"])
-def test_corrupted_answers_fail_the_modular_check(mode):
-    S, F, cocycle = answer(mode)
+@pytest.mark.parametrize("case", ["plain", "s3", "contracted", "twisted"])
+def test_corrupted_answers_fail_the_modular_check(case):
+    S, F, cocycle, mode = answer(case)
     basis = [s for s in range(S.n) if mode == "plain" or s != S.zero]
     for seed in (0, 11):
         right = random_table_check(S, F, mode, cocycle, seed=seed)
@@ -154,7 +161,7 @@ def check_exactly(reference, F):
 
 @pytest.mark.parametrize("mode", ["plain", "contracted", "twisted"])
 def test_the_exact_check_agrees_with_expand(mode):
-    S, F, cocycle = answer(mode)
+    S, F, cocycle, _ = answer(mode)
     theta = paratrophic_determinant(S, mode, cocycle)
     assert check_exactly(theta, F)
     basis = [s for s in range(S.n) if mode == "plain" or s != S.zero]
@@ -242,7 +249,7 @@ def test_factors_that_are_not_galois_closed():
 
 
 def test_a_twisted_theta_with_irrational_coefficients():
-    S, F, cocycle = answer("twisted")
+    S, F, cocycle, _ = answer("twisted")
     theta = paratrophic_determinant(S, "twisted", cocycle)
     assert not all(c.is_rational() for c in theta.terms.values())
     assert check_exactly(theta, F)

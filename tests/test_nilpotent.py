@@ -2,7 +2,6 @@ from fractions import Fraction
 
 import pytest
 
-from frobdet.cyclotomic import CycNum
 from frobdet.determinant import paratrophic_determinant, verify_against
 from frobdet.errors import (CocycleDomainMismatch, CocycleInvalid, FormatError,
                             NotNilpotentAdjoined, NoUniqueAnnihilator)

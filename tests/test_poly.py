@@ -559,9 +559,12 @@ def fraction_det(m):
 
 @pytest.mark.parametrize("p", [2, 7, 2 ** 61 - 1, 2 ** 89 - 1])
 def test_det_mod_against_fractions(p):
-    """Random matrices of size 0 to 20: dense ones with negative entries
-    and entries of p or more, sparse ones whose zero pivots force row
-    swaps, and symmetric ones with a zero diagonal."""
+    """Random matrices of size 0 to 20 with negative entries, zeros and
+    entries of p or more: dense ones, and sparse ones whose zero pivots
+    force row swaps; symmetric ones, whose diagonal entries that vanish
+    mod p force symmetric swaps and, midway, the general elimination; the
+    same with a zero diagonal, where the general elimination does all the
+    work; and a singular copy of the first two kinds."""
     rng = random.Random(p)
 
     def entry(density):
@@ -572,16 +575,23 @@ def test_det_mod_against_fractions(p):
     for n in range(21):
         for density in (1.0, 0.3, 0.1):
             m = [[entry(density) for _ in range(n)] for _ in range(n)]
-            rows = [list(row) for row in m]
-            assert det_mod(m, p) == fraction_det(m) % p
-            assert m == rows
             sym = [[0] * n for _ in range(n)]
             for i in range(n):
-                for j in range(i + 1, n):
+                for j in range(i, n):
                     sym[i][j] = sym[j][i] = entry(density)
-            assert det_mod(sym, p) == fraction_det(sym) % p
-    # a multiple of p on the diagonal is a zero pivot
+            hollow = [[0 if i == j else v for j, v in enumerate(row)]
+                      for i, row in enumerate(sym)]
+            # the last row and column repeat the first
+            again = list(range(n - 1)) + [0] if n > 1 else []
+            for c in (m, sym, hollow, [m[i] for i in again],
+                      [[sym[i][j] for j in again] for i in again]):
+                rows = [list(row) for row in c]
+                assert det_mod(c, p) == fraction_det(c) % p
+                assert c == rows
+    # a multiple of p on the diagonal is a zero pivot, and a symmetric
+    # matrix with no diagonal pivot takes the general elimination
     assert det_mod([[p, 1], [1, 0]], p) == p - 1
+    assert det_mod([[0, 1], [1, 0]], p) == p - 1
 
 
 def test_det_mod_of_cayley_matrices(commutative_tables):

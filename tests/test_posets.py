@@ -1,5 +1,4 @@
 import random
-from fractions import Fraction
 
 import pytest
 
@@ -8,8 +7,7 @@ from frobdet.errors import ModeHypothesisFailed, NotAPartialOrder, NotSemilattic
 from frobdet.posets import (FinitePoset, factor_semilattice, mobius,
                             mobius_forms, natural_order, smith_determinant,
                             smith_matrix, splus_map)
-from frobdet.semigroups import (adjoin_zero, analyze, build_family,
-                                validate_table)
+from frobdet.semigroups import adjoin_zero, analyze, build_family
 
 from corpus import eleven_monoid, wenger_monoid, zmult
 from oracles import direct_product, is_inverse, unitriangular_inverse
