@@ -18,7 +18,8 @@ from .determinant import factor_group_determinant, frobenius_test, \
     paratrophic_determinant, verify_against
 from .errors import DimensionCap, FrobdetError, FormatError, NotApplicable
 from .factorization import verify_factorization, Factorization, lift_zero
-from .groupoids import factor_clifford, groupoid_structure, inverse_determinant
+from .groupoids import factor_clifford, groupoid_of, groupoid_structure, \
+    inverse_determinant
 from .nilpotent import factor_nil_adjoined, parse_cocycle
 from .poly import DEFAULT_CAP, Poly, parse_poly, mono_str
 from .posets import factor_semilattice, mobius, natural_order, smith_determinant
@@ -194,15 +195,17 @@ def cmd_info(args):
     return 0
 
 
+def determinant_mode(args, S):
+    """(mode, cocycle) of a request's determinant: twisted by the cocycle
+    file of --twist, else contracted with --contracted, else plain."""
+    if args.twist is not None:
+        return "twisted", parse_cocycle(read_input(args.twist), S)
+    return ("contracted" if args.contracted else "plain"), None
+
+
 def cmd_det(args):
     S = load_semigroup(args.input)
-    cocycle = None
-    mode = "plain"
-    if args.twist is not None:
-        cocycle = parse_cocycle(read_input(args.twist), S)
-        mode = "twisted"
-    elif args.contracted:
-        mode = "contracted"
+    mode, cocycle = determinant_mode(args, S)
     theta = paratrophic_determinant(S, mode=mode, cocycle=cocycle, cap=args.cap)
     text = theta.to_str()
     data = {
@@ -292,21 +295,20 @@ def cmd_mobius(args):
 
 def cmd_groupoid(args):
     S = load_semigroup(args.input)
-    st = groupoid_structure(S)
     comps = []
-    for objs, base, k, g in st.components:
+    for objs, base, k, g in groupoid_structure(groupoid_of(S)):
         comps.append({"objects": [S.name_of(o) for o in objs],
                       "base": S.name_of(base),
                       "n_objects": k,
                       "group_order": g})
-    data = {"status": "ok", "total_arrows": st.total_arrows,
+    data = {"status": "ok", "total_arrows": S.n,
             "components": comps}
     lines = [f"components: {len(comps)}"]
     for c in comps:
         lines.append(f"  at {c['base']}: {c['n_objects']} objects, "
                      f"isotropy order {c['group_order']}, "
                      "objects " + " ".join(c["objects"]))
-    lines.append(f"arrow count: sum n_i^2 |G_i| = {st.total_arrows} = |S|")
+    lines.append(f"arrow count: sum n_i^2 |G_i| = {S.n} = |S|")
     emit(args, data, lines)
     return 0
 
@@ -392,10 +394,7 @@ def cmd_factor(args):
     Only the factorizer call is inside the try: an error from a check
     always propagates."""
     S = load_semigroup(args.input)
-    cocycle = (None if args.twist is None
-               else parse_cocycle(read_input(args.twist), S))
-    mode = ("twisted" if cocycle is not None
-            else "contracted" if args.contracted else "plain")
+    mode, cocycle = determinant_mode(args, S)
     skips = []
     for applies, factorize in factor_routes(S, args, cocycle):
         if not applies:

@@ -216,7 +216,8 @@ def local_spectrum(M):
             records.append(CharacterRecord(chi, J, ideal, quotient, cocycle,
                                            ann, None, None, None))
             continue
-        mat, _, zp = annihilator_matrix(quotient, cocycle)
+        zp = nrep.unique_annihilator
+        mat = annihilator_matrix(quotient, zp, cocycle)
         det = cyc_det(mat)
         records.append(CharacterRecord(chi, J, ideal, quotient, cocycle,
                                        ann, J[zp], tuple(map(tuple, mat)),

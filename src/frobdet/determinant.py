@@ -16,7 +16,7 @@ from .cyclotomic import CycNum, _combine, _phi, _product
 from .errors import (CocycleDomainMismatch, NoZero, NotAbelianWithoutReps,
                      NotAGroup, NotMultiplicative, RepDimensionMismatch,
                      VerificationFailed)
-from .factorization import (Factorization, _monic, checked,
+from .factorization import (ROUNDS, Factorization, _monic, checked,
                             random_points, random_table_check)
 from .linalg import int_det
 from .poly import DEFAULT_CAP, Poly, det_poly_matrix
@@ -116,7 +116,7 @@ def _exact_check(S, F, mode, cocycle, cap, seed):
                    mode="exact", seed=seed)
 
 
-def _character_check(S, F, mode, seed, rounds=5):
+def _character_check(S, F, mode, seed):
     """Whether F is the plain or contracted determinant of S by the
     characters F carries, decided on integers without Poly or CycNum
     arithmetic. False when any step fails: the caller then expands.
@@ -176,7 +176,7 @@ def _character_check(S, F, mode, seed, rounds=5):
             return False
         used.add(hits[0])
     constant = F.constant.embed(N)
-    for point in random_points(basis, seed, rounds):
+    for point in random_points(basis, seed, ROUNDS):
         values = [[sum(point[s] * nums[i] for s, nums in terms)
                    for i in range(phi)] for _, terms in forms]
         if all(any(v) for v in values):
@@ -220,7 +220,7 @@ class FrobeniusResult:
     verification: dict | None = None
 
 
-def frobenius_test(S, seed=0, rounds=5, cap=DEFAULT_CAP):
+def frobenius_test(S, seed=0, cap=DEFAULT_CAP):
     """Decide whether the semigroup determinant of S is nonzero.
 
     Cheap necessary conditions first (surjectivity of multiplication and
@@ -241,7 +241,7 @@ def frobenius_test(S, seed=0, rounds=5, cap=DEFAULT_CAP):
                 reason=f"{S.name_of(s)} fixes {l} elements on the left "
                        f"and {r} on the right")
     t = S.table
-    for i, point in enumerate(random_points(range(S.n), seed, rounds)):
+    for i, point in enumerate(random_points(range(S.n), seed, ROUNDS)):
         d = int_det([[point[t[a][b]] for b in range(S.n)]
                      for a in range(S.n)])
         if d != 0:
@@ -261,9 +261,9 @@ def frobenius_test(S, seed=0, rounds=5, cap=DEFAULT_CAP):
             verification={"mode": "exact", "rounds": 1, "seed": seed})
     return FrobeniusResult(
         "inconclusive",
-        reason=f"{rounds} random evaluations vanished and size {S.n} "
+        reason=f"{ROUNDS} random evaluations vanished and size {S.n} "
                f"is above the symbolic cap {cap}",
-        verification={"mode": "randomized", "rounds": rounds, "seed": seed})
+        verification={"mode": "randomized", "rounds": ROUNDS, "seed": seed})
 
 
 def _as_cyc(x, order=1):

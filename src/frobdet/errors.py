@@ -145,10 +145,6 @@ class NotNilpotentAdjoined(NotApplicable):
     pass
 
 
-class NoUniqueAnnihilator(FrobdetError):
-    pass
-
-
 class CocycleInvalid(FrobdetError):
     pass
 

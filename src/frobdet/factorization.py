@@ -22,6 +22,7 @@ from .modular import fixed_prime, prime_for, root_of_unity
 from .poly import Poly, _add_product, mono_deg
 
 RANDOM_BOUND = 10 ** 6
+ROUNDS = 5  # points of every randomized check
 
 
 @dataclass(frozen=True)
@@ -187,15 +188,15 @@ def _values(F):
     return [F.constant] + [c for f, _ in F.factors for c in f.terms.values()]
 
 
-def _randomized_record(F, other, variables, reduction, seed, rounds):
+def _randomized_record(F, other, variables, reduction, seed):
     """Compare F with `other`, a function from an integer point to a value
-    mod reduction.p, at the seeded points."""
+    mod reduction.p, at the ROUNDS seeded points."""
     value = reduction.factorization(F)
-    for i, point in enumerate(random_points(variables, seed, rounds)):
+    for i, point in enumerate(random_points(variables, seed, ROUNDS)):
         if value(point) != other(point):
             return {"equal": False, "mode": "randomized", "rounds": i + 1,
                     "seed": seed, "witness": point}
-    return {"equal": True, "mode": "randomized", "rounds": rounds,
+    return {"equal": True, "mode": "randomized", "rounds": ROUNDS,
             "seed": seed}
 
 
@@ -343,7 +344,7 @@ def _expands_to(reference, F, degree):
     return True
 
 
-def verify_factorization(reference, F, mode="exact", seed=0, rounds=5):
+def verify_factorization(reference, F, mode="exact", seed=0):
     """Check that F multiplies out to the reference polynomial.
 
     mode "exact" decides the identity modulo fixed primes (see
@@ -374,7 +375,7 @@ def verify_factorization(reference, F, mode="exact", seed=0, rounds=5):
         *(f.variables() for f, _ in F.factors)))
     reduction = _Reduction(_values(F) + list(reference.terms.values()), seed)
     return _randomized_record(F, reduction.poly(reference), variables,
-                              reduction, seed, rounds)
+                              reduction, seed)
 
 
 def lift_zero(F, z):
@@ -397,7 +398,7 @@ def lift_zero(F, z):
                                        "determinant",))
 
 
-def random_table_check(S, F, mode="plain", cocycle=None, seed=0, rounds=5):
+def random_table_check(S, F, mode="plain", cocycle=None, seed=0):
     """Compare F against the determinant of the plain, contracted or
     twisted multiplication matrix of S at the seeded integer points,
     modulo a prime (see _Reduction), without any symbolic expansion."""
@@ -417,12 +418,12 @@ def random_table_check(S, F, mode="plain", cocycle=None, seed=0, rounds=5):
         if weights:
             m = [list(map(mul, r, w)) for r, w in zip(m, weights)]
         return det_mod(m, reduction.p)
-    return _randomized_record(F, det_at, basis, reduction, seed, rounds)
+    return _randomized_record(F, det_at, basis, reduction, seed)
 
 
-def checked(reference, F, mode="exact", seed=0, rounds=5):
+def checked(reference, F, mode="exact", seed=0):
     """verify_factorization that raises on mismatch and attaches the record."""
-    v = verify_factorization(reference, F, mode=mode, seed=seed, rounds=rounds)
+    v = verify_factorization(reference, F, mode=mode, seed=seed)
     if not v["equal"]:
         raise VerificationFailed(
             f"{F.provenance} factorization disagrees with the reference "

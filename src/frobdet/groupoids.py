@@ -18,112 +18,69 @@ from .errors import (DimensionCap, NonabelianWithoutReps, NotApplicable,
 from .factorization import Factorization
 from .poly import DEFAULT_CAP, Poly, det_poly_matrix
 from .posets import forms_of, mobius_forms, natural_order
-from .semigroups import analyze, maximal_subgroup, star_map
+from .semigroups import analyze, star_map, subsemigroup
 
 
 @dataclass(frozen=True)
 class Groupoid:
-    objects: tuple  # idempotent ids
-    arrows: tuple  # all element ids
+    S: object  # the underlying semigroup
     dom: tuple  # per element, s* s
     ran: tuple  # per element, s s*
-    inv: tuple  # the star map
-    S: object  # the underlying semigroup
-
-    def composable(self, a, b):
-        return self.dom[a] == self.ran[b]
-
-    def compose(self, a, b):
-        assert self.composable(a, b)
-        return self.S.table[a][b]
+    # per connected component, ordered by least object: (objects, arrows),
+    # the objects (idempotent ids) and the arrows from them, both ascending
+    components: tuple
 
 
 def groupoid_of(S):
+    """The groupoid of an inverse semigroup S; raises NotInverse when S is
+    not inverse. Two objects are connected when an arrow joins them, and
+    the arrows from an object reach its whole component."""
     star = star_map(S)
     t = S.table
-    objects = tuple(e for e in range(S.n) if t[e][e] == e)
     dom = tuple(t[star[s]][s] for s in range(S.n))
     ran = tuple(t[s][star[s]] for s in range(S.n))
-    g = Groupoid(objects, tuple(range(S.n)), dom, ran, star, S)
     for a in range(S.n):
         for b in range(S.n):
-            if g.composable(a, b):
+            if dom[a] == ran[b]:
                 p = t[a][b]
-                assert g.dom[p] == g.dom[b] and g.ran[p] == g.ran[a]
-    return g
+                assert dom[p] == dom[b] and ran[p] == ran[a]
+    reach = {}
+    for s in range(S.n):
+        reach.setdefault(dom[s], set()).add(ran[s])
+    arrows = {}
+    for s in range(S.n):
+        arrows.setdefault(min(reach[dom[s]]), []).append(s)
+    return Groupoid(S, dom, ran, tuple(
+        (tuple(sorted(reach[base])), tuple(arrows[base]))
+        for base in sorted(arrows)))
 
 
-def connected_components(g):
-    """Partition of the objects by arrow reachability, least object first
-    inside each part, parts ordered by their least object."""
-    parent = {e: e for e in g.objects}
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for s in g.arrows:
-        a, b = find(g.dom[s]), find(g.ran[s])
-        if a != b:
-            parent[max(a, b)] = min(a, b)
-    parts = {}
-    for e in g.objects:
-        parts.setdefault(find(e), []).append(e)
-    return [tuple(sorted(v)) for k, v in sorted(parts.items())]
-
-
-@dataclass(frozen=True)
-class GroupoidStructure:
-    components: tuple  # per component: (objects, base, n_objects, group_order)
-    total_arrows: int
-
-
-def groupoid_structure(S, g=None):
-    """Connected components with their isotropy groups; the arrow count
-    identity sum n_i^2 |G_i| = |S| is asserted. g is the groupoid of S,
-    built here when not given."""
-    g = groupoid_of(S) if g is None else g
-    comps = connected_components(g)
+def groupoid_structure(g):
+    """Per connected component (objects, base, n_objects, group_order),
+    the base its least object and the group order its number of loops at
+    the base; the arrow count identity sum n_i^2 |G_i| = |S| is
+    asserted."""
     infos = []
-    total = 0
-    for objs in comps:
+    for objs, arrows in g.components:
         base = objs[0]
-        G, ids = maximal_subgroup(S, base)
-        loop = [s for s in g.arrows if g.dom[s] == base and g.ran[s] == base]
-        assert sorted(ids) == sorted(loop)
-        infos.append((objs, base, len(objs), G.n))
-        total += len(objs) ** 2 * G.n
-    assert total == S.n, "arrow count does not match sum n_i^2 |G_i|"
-    return GroupoidStructure(tuple(infos), S.n)
+        order = sum(1 for s in arrows if g.dom[s] == base == g.ran[s])
+        infos.append((objs, base, len(objs), order))
+    assert sum(k * k * order for _, _, k, order in infos) == g.S.n, \
+        "arrow count does not match sum n_i^2 |G_i|"
+    return tuple(infos)
 
 
-def _component_blocks(g):
-    comps = connected_components(g)
-    where = {}
-    for k, objs in enumerate(comps):
-        for e in objs:
-            where[e] = k
-    blocks = [[] for _ in comps]
-    for s in g.arrows:
-        blocks[where[g.dom[s]]].append(s)
-    return blocks
-
-
-def groupoid_determinant(S, cap=DEFAULT_CAP, g=None):
+def groupoid_determinant(g, cap=DEFAULT_CAP):
     """Determinant of the groupoid matrix: entry (a, b) is x_{ab} when
     dom(a) = ran(b) and 0 otherwise. Block diagonal over the connected
     components, so the determinant is a product over components. The
     blocks have disjoint variables, so a product of blocks with a and b
     terms has a*b terms; past poly.TERM_BUDGET it raises DimensionCap
-    before multiplying. g is the groupoid of S, built here when not
-    given."""
-    g = groupoid_of(S) if g is None else g
+    before multiplying."""
+    t, dom, ran = g.S.table, g.dom, g.ran
     det = Poly.const(CycNum.one())
-    for arrows in _component_blocks(g):
-        mat = [[Poly.variable(g.compose(a, b)) if g.composable(a, b)
-                else Poly.zero()
+    for _, arrows in g.components:
+        mat = [[Poly.variable(t[a][b]) if dom[a] == ran[b] else Poly.zero()
                 for b in arrows] for a in arrows]
         block = det_poly_matrix(mat, cap=cap)
         if len(det.terms) * len(block.terms) > poly.TERM_BUDGET:
@@ -143,16 +100,16 @@ def inverse_determinant(S, cap=DEFAULT_CAP):
     groupoid isomorphism (see _check_groupoid_order) at every size. An
     expansion past the cap or the term budget raises NotApplicable.
 
-    Returns (theta, components), the components of groupoid_structure."""
+    Returns (theta, groupoid_structure of the groupoid of S)."""
     g = groupoid_of(S)  # raises NotInverse when S is not inverse
     try:
-        gd = groupoid_determinant(S, cap=cap, g=g)
+        gd = groupoid_determinant(g, cap=cap)
     except DimensionCap as e:
         raise NotApplicable(str(e)) from e
     poset = natural_order(S, "inverse")
     _check_groupoid_order(g, poset.leq)
     theta = gd.substitute(forms_of(poset))
-    return theta, groupoid_structure(S, g).components
+    return theta, groupoid_structure(g)
 
 
 def _check_groupoid_order(groupoid, leq):
@@ -183,16 +140,15 @@ def factor_clifford(S, reps_by_idempotent=None):
     Mobius variables. Over abelian groups the answer carries the
     characters phi_{e, chi}."""
     g = groupoid_of(S)  # raises NotInverse when S is not inverse
-    if not analyze(S).central_idempotents:
+    # idempotents are central exactly when no arrow joins two objects
+    if any(len(objects) > 1 for objects, _ in g.components):
         raise NotClifford("idempotents are not central")
-    for s in range(S.n):
-        assert g.dom[s] == g.ran[s]  # forced by centrality
     sub = mobius_forms(S, "inverse")
     t = S.table
     constant = CycNum.one()
     factors, notes, columns = [], [], []
-    for e in g.objects:
-        G, ids = maximal_subgroup(S, e)
+    for (e,), arrows in g.components:
+        G, ids = subsemigroup(S, arrows)  # the maximal subgroup at e
         grep = analyze(G)
         if grep.is_commutative:
             FG = _group_factorization(G, None)

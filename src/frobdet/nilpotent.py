@@ -12,7 +12,7 @@ from functools import cached_property
 
 from .cyclotomic import CycNum, parse_cyc
 from .errors import (CocycleDomainMismatch, CocycleInvalid, FormatError,
-                     NotNilpotentAdjoined, NoUniqueAnnihilator)
+                     NotNilpotentAdjoined)
 from .factorization import Factorization
 from .linalg import cyc_det
 from .poly import Poly
@@ -180,16 +180,11 @@ def analyze_nilpotent(M):
     return NilReport(True, None, k, left, right, both, unique)
 
 
-def annihilator_matrix(M, cocycle=None):
+def annihilator_matrix(M, zp, cocycle=None):
     """The matrix A over the basis M minus the zero, with A[s][t] equal to
-    c(s, t) when st is the unique annihilator and 0 otherwise."""
-    rep = analyze_nilpotent(M)
-    if not rep.is_nilpotent_adjoined:
-        raise NotNilpotentAdjoined(rep.reason)
-    if rep.unique_annihilator is None:
-        raise NoUniqueAnnihilator(
-            f"{len(rep.annihilators)} two-sided annihilating elements")
-    zp, z = rep.unique_annihilator, M.zero
+    c(s, t) when st is zp, the unique annihilator of the
+    nilpotent-adjoined M that analyze_nilpotent found, and 0 otherwise."""
+    z = M.zero
     order = cocycle.order if cocycle is not None else 1
     basis = tuple(s for s in range(M.n) if s != z)
     mat = []
@@ -202,7 +197,7 @@ def annihilator_matrix(M, cocycle=None):
             else:
                 row.append(CycNum.zero(order))
         mat.append(row)
-    return mat, basis, zp
+    return mat
 
 
 def factor_nil_adjoined(M, cocycle=None):
@@ -222,8 +217,8 @@ def factor_nil_adjoined(M, cocycle=None):
             notes=(f"{len(rep.annihilators)} two-sided annihilating "
                    f"elements instead of one",),
             order=order)
-    mat, _, zp = annihilator_matrix(M, cocycle)
-    d = cyc_det(mat)
+    zp = rep.unique_annihilator
+    d = cyc_det(annihilator_matrix(M, zp, cocycle))
     if d.is_zero():
         return Factorization.zero(
             "nilpotent-annihilator",

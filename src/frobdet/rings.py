@@ -12,7 +12,7 @@ monoid algebra decomposition dimensions.
 
 from dataclasses import dataclass
 
-from .cyclotomic import CycNum
+from .characters import Character
 from .errors import OutOfRange, SizeOverflow
 from .linalg import cyc_det
 from .modular import is_prime
@@ -155,19 +155,6 @@ def _spot_check_axioms(field):
                     == field.add(field.mul(a, b), field.mul(a, c))
 
 
-@dataclass(frozen=True)
-class GeneratingCharacter:
-    """Additive character of a finite ring, one root of unity per element."""
-    order: int
-    exps: tuple
-
-    def value(self, s):
-        return CycNum.root_of_unity(self.order, self.exps[s])
-
-    def __call__(self, s):
-        return self.value(s)
-
-
 def _check_additive(lam, add, n):
     for a in range(n):
         for b in range(n):
@@ -182,7 +169,7 @@ def zmod_monoid(n):
         raise OutOfRange(f"modulus {n} outside 2..512")
     S = validate_table([[(i * j) % n for j in range(n)] for i in range(n)],
                        tuple(str(i) for i in range(n)))
-    lam = GeneratingCharacter(n, tuple(range(n)))
+    lam = Character(n, tuple(range(n)))
     _check_additive(lam, lambda a, b: (a + b) % n, n)
     return S, lam
 
@@ -224,7 +211,7 @@ def matrix_monoid(n, field):
         for i in range(n):
             tr = field.add(tr, ea[i * n + i])
         exps.append(field.absolute_trace(tr))
-    lam = GeneratingCharacter(field.p, tuple(exps))
+    lam = Character(field.p, tuple(exps))
 
     def mat_add(a, b):
         ea, eb = entries(a), entries(b)

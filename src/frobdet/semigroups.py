@@ -243,18 +243,6 @@ def group_of_units(S):
     return subsemigroup(S, rep.group_of_units)
 
 
-def maximal_subgroup(S, e):
-    """Maximal subgroup at an idempotent e: the unit group of eSe."""
-    if S.table[e][e] != e:
-        raise ParamOutOfRange(f"element {e} is not idempotent")
-    corner = sorted({S.table[e][S.table[s][e]] for s in range(S.n)})
-    sub, ids = subsemigroup(S, corner)
-    if sub.identity is None:
-        raise NotAGroup("corner monoid lost its identity")
-    units, unit_ids = group_of_units(sub)
-    return units, [ids[i] for i in unit_ids]
-
-
 def adjoin_identity(S):
     """S with a new identity appended as the last element."""
     n = S.n

@@ -4,8 +4,9 @@ They compute the paper's structural identities directly: the zero
 translation theta = x_z * thetac(x_s - x_z), the change of basis
 theta = det(P)^2 * theta', Mobius inversion as the inverse of zeta,
 character orthogonality and the split of a commutative theta into local
-pieces. They also build the examples: direct products and every
-commutative table of order at most 4. Nothing in frobdet calls them.
+pieces. They also build the examples: direct products, every
+commutative table of order at most 4 and the maximal subgroup at an
+idempotent. Nothing in frobdet calls them.
 """
 
 from itertools import product as iproduct
@@ -13,12 +14,13 @@ from itertools import product as iproduct
 from frobdet.commutative import splus_decompose
 from frobdet.cyclotomic import CycNum
 from frobdet.determinant import _as_cyc, paratrophic_determinant
-from frobdet.errors import (FrobdetError, NoZero, NotInverse,
+from frobdet.errors import (FrobdetError, NoZero, NotAGroup, NotInverse,
                             ParamOutOfRange, SizeOverflow, SizeTooLarge)
 from frobdet.linalg import _common_order, cyc_det
 from frobdet.poly import DEFAULT_CAP, Poly
 from frobdet.posets import forms_of
-from frobdet.semigroups import SIZE_CAP, _derived, star_map, validate_table
+from frobdet.semigroups import (SIZE_CAP, _derived, group_of_units, star_map,
+                                subsemigroup, validate_table)
 
 
 # errors only these functions raise
@@ -78,6 +80,19 @@ def is_inverse(S):
         return True
     except NotInverse:
         return False
+
+
+def maximal_subgroup(S, e):
+    """Maximal subgroup at an idempotent e: the unit group of eSe, as
+    (group Semigroup, ambient ids)."""
+    if S.table[e][e] != e:
+        raise ParamOutOfRange(f"element {e} is not idempotent")
+    corner = sorted({S.table[e][S.table[s][e]] for s in range(S.n)})
+    sub, ids = subsemigroup(S, corner)
+    if sub.identity is None:
+        raise NotAGroup("corner monoid lost its identity")
+    units, unit_ids = group_of_units(sub)
+    return units, [ids[i] for i in unit_ids]
 
 
 # linear algebra and characters

@@ -11,8 +11,8 @@ from frobdet.commutative import chain_fastpath, factor_commutative, \
 from frobdet.cyclotomic import CycNum
 from frobdet.determinant import (factor_group_determinant, frobenius_test,
                                  paratrophic_determinant, verify_against)
-from frobdet.groupoids import factor_clifford, groupoid_structure, \
-    inverse_determinant
+from frobdet.groupoids import factor_clifford, groupoid_of, \
+    groupoid_structure, inverse_determinant
 from frobdet.linalg import int_det
 from frobdet.characters import character_group
 from frobdet.nilpotent import analyze_nilpotent, factor_nil_adjoined
@@ -173,7 +173,7 @@ def test_acceptance_08_inverse_semigroups(capsys):
         rook = build_family("rook", 2)
         theta, components = inverse_determinant(rook)
         assert theta == paratrophic_determinant(rook)
-        assert components == groupoid_structure(rook).components
+        assert components == groupoid_structure(groupoid_of(rook))
         for n in (3, 5):
             S = adjoin_zero(build_family("zmod_add", n))
             F = verify_against(S, factor_clifford(S))
@@ -282,4 +282,5 @@ def test_acceptance_11_property_suite(capsys, commutative_tables):
         # arrow count identity on the inverse corpus
         for S in [build_family("rook", 2),
                   adjoin_zero(build_family("zmod_add", 3))] + groups:
-            assert groupoid_structure(S).total_arrows == S.n
+            st = groupoid_structure(groupoid_of(S))
+            assert sum(k * k * order for _, _, k, order in st) == S.n

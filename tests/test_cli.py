@@ -365,12 +365,16 @@ def test_each_table_is_analyzed_once_per_request(monkeypatch):
 
     monkeypatch.setattr(semigroups, "_analysis", recording)
     S3, _ = group_of_units(build_family("full_transform", 3))
-    for text in (emit_sgp(zmult(8)), emit_sgp(build_family("rook", 2)),
-                 emit_sgp(adjoin_zero(S3)), pathlib.Path(WENGER).read_text()):
+    for text, derived in ((emit_sgp(zmult(8)), True),
+                          (emit_sgp(build_family("rook", 2)), False),
+                          (emit_sgp(adjoin_zero(S3)), True),
+                          (pathlib.Path(WENGER).read_text(), True)):
         analyzed.clear()
         code, _, err = run_cli(["factor", "-"], stdin=text)
         assert code == 0, err
-        assert len(analyzed) > 1
+        # the inverse route of rook 2 reads its groups off the groupoid,
+        # so only the input is analyzed
+        assert len(analyzed) > 1 if derived else len(analyzed) == 1
         assert len({id(T) for T in analyzed}) == len(analyzed)
 
 

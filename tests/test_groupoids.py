@@ -1,18 +1,19 @@
 import pytest
 
-from frobdet import determinant, poly
+from frobdet import determinant, groupoids, poly
 from frobdet.determinant import paratrophic_determinant, verify_against
-from frobdet.errors import (DimensionCap, NotApplicable, NotClifford,
-                            NotInverse, VerificationFailed)
-from frobdet.groupoids import (_check_groupoid_order, connected_components,
-                               factor_clifford, groupoid_determinant,
-                               groupoid_of,
+from frobdet.errors import (DimensionCap, NonabelianWithoutReps,
+                            NotApplicable, NotClifford, NotInverse,
+                            VerificationFailed)
+from frobdet.groupoids import (_check_groupoid_order, factor_clifford,
+                               groupoid_determinant, groupoid_of,
                                groupoid_structure, inverse_determinant,
                                star_map)
 from frobdet.posets import mobius_forms, natural_order
-from frobdet.semigroups import adjoin_zero, build_family
+from frobdet.semigroups import (adjoin_zero, build_family, group_of_units,
+                                subsemigroup)
 
-from oracles import direct_product, is_inverse
+from oracles import direct_product, is_inverse, maximal_subgroup
 
 
 def z2_with_zero():
@@ -44,23 +45,20 @@ def test_is_inverse():
 def test_groupoid_of_group_is_one_object():
     G = build_family("zmod_add", 4)
     g = groupoid_of(G)
-    assert g.objects == (0,)
+    assert g.components == (((0,), (0, 1, 2, 3)),)
     assert all(d == 0 for d in g.dom)
-    assert connected_components(g) == [(0,)]
 
 
 def test_groupoid_rook2_components():
     S = build_family("rook", 2)
     g = groupoid_of(S)
-    assert len(g.objects) == 4
-    comps = connected_components(g)
     # rank 0, rank 1 (two objects joined), rank 2
-    sizes = sorted(len(c) for c in comps)
+    sizes = sorted(len(objs) for objs, _ in g.components)
     assert sizes == [1, 1, 2]
-    st = groupoid_structure(S)
-    assert st.total_arrows == 7
+    assert sorted(s for _, arrows in g.components for s in arrows) \
+        == list(range(7))
     # sum n_i^2 |G_i| = 1 + 4 + 2
-    got = sorted(n * n * go for _, _, n, go in st.components)
+    got = sorted(n * n * go for _, _, n, go in groupoid_structure(g))
     assert got == [1, 2, 4]
 
 
@@ -68,15 +66,15 @@ def test_groupoid_structure_identity_count():
     for fam, arg in [("rook", 2), ("rook", 3), ("chain_semilattice", 4),
                      ("zmod_add", 6)]:
         S = build_family(fam, arg)
-        st = groupoid_structure(S)
-        assert sum(n * n * go for _, _, n, go in st.components) == S.n
+        st = groupoid_structure(groupoid_of(S))
+        assert sum(n * n * go for _, _, n, go in st) == S.n
 
 
 def test_inverse_determinant_rook2_matches_plain():
     S = build_family("rook", 2)
     theta, components = inverse_determinant(S)
     assert theta == paratrophic_determinant(S)
-    assert components == groupoid_structure(S).components
+    assert components == groupoid_structure(groupoid_of(S))
     assert not theta.is_zero()
     assert theta.total_degree() == 7
 
@@ -85,16 +83,16 @@ def test_inverse_determinant_semilattice():
     S = build_family("chain_semilattice", 3)
     theta, components = inverse_determinant(S)
     assert theta == paratrophic_determinant(S)
-    assert components == groupoid_structure(S).components
+    assert components == groupoid_structure(groupoid_of(S))
     # groupoid determinant of a semilattice is just prod y_e
-    gd = groupoid_determinant(S)
+    gd = groupoid_determinant(groupoid_of(S))
     assert gd.total_degree() == 3
     assert len(gd.terms) == 1
 
 
 def test_groupoid_determinant_blocks():
     S = build_family("rook", 2)
-    gd = groupoid_determinant(S)
+    gd = groupoid_determinant(groupoid_of(S))
     assert gd.is_homogeneous() and gd.total_degree() == 7
 
 
@@ -105,11 +103,11 @@ def test_groupoid_block_product_has_a_term_budget(monkeypatch):
     message = ("product of groupoid blocks of 4 and 4 terms exceeds the "
                "budget of 15 terms")
     with pytest.raises(DimensionCap, match=f"^{message}$"):
-        groupoid_determinant(S)
+        groupoid_determinant(groupoid_of(S))
     with pytest.raises(NotApplicable, match=f"^{message}$"):
         inverse_determinant(S)
     monkeypatch.setattr(poly, "TERM_BUDGET", 16)
-    assert len(groupoid_determinant(S).terms) == 16
+    assert len(groupoid_determinant(groupoid_of(S)).terms) == 16
 
 
 def test_factor_clifford_z2_with_zero():
@@ -137,6 +135,53 @@ def test_factor_clifford_rejects_non_clifford():
         factor_clifford(build_family("rook", 2))
     with pytest.raises(NotInverse):
         factor_clifford(build_family("left_zero", 2))
+
+
+def groupoid_inputs():
+    S3, _ = group_of_units(build_family("full_transform", 3))
+    return [build_family("rook", 2), build_family("rook", 3),
+            adjoin_zero(build_family("zmod_add", 5)),
+            build_family("chain_semilattice", 4), adjoin_zero(S3),
+            build_family("zmod_add", 6), build_family("full_transform", 2)]
+
+
+def test_isotropy_and_clifford_groups_are_the_maximal_subgroups(monkeypatch):
+    # the loops at each base are the maximal subgroup there, and the
+    # group factor_clifford takes from a one-object component is the
+    # maximal subgroup at its object, table and names alike
+    built = []
+
+    def recording(S, elements):
+        built.append(subsemigroup(S, elements))
+        return built[-1]
+
+    monkeypatch.setattr(groupoids, "subsemigroup", recording)
+    clifford = 0
+    for S in groupoid_inputs():
+        if not is_inverse(S):
+            with pytest.raises(NotInverse):
+                groupoid_of(S)
+            continue
+        g = groupoid_of(S)
+        for (_, base, _, order), (_, arrows) in zip(groupoid_structure(g),
+                                                    g.components):
+            G, ids = maximal_subgroup(S, base)
+            assert ids == [s for s in arrows if g.dom[s] == base == g.ran[s]]
+            assert order == G.n
+        if any(len(objects) > 1 for objects, _ in g.components):
+            continue
+        clifford += 1
+        built.clear()
+        try:
+            factor_clifford(S)
+        except NonabelianWithoutReps:
+            assert len(built) == 1  # the group of S3 comes first
+        assert built
+        for (G, ids), ((e,), _) in zip(built, g.components):
+            assert (G, ids) == maximal_subgroup(S, e)
+        for (e,), arrows in g.components:
+            assert subsemigroup(S, arrows) == maximal_subgroup(S, e)
+    assert clifford == 4
 
 
 def test_clifford_commutative_inverse_distinct_linear_factors():
@@ -196,4 +241,4 @@ def test_the_inverse_route_expands_no_plain_determinant(monkeypatch):
     monkeypatch.setattr(determinant, "cayley_matrix", refuse)
     got, components = inverse_determinant(S, cap=5)
     assert got == theta
-    assert components == groupoid_structure(S).components
+    assert components == groupoid_structure(groupoid_of(S))

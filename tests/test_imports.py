@@ -99,6 +99,17 @@ def test_every_public_function_is_read_in_the_package():
     assert unread == [("commutative.py", "chain_fastpath")]
 
 
+def test_every_error_is_read_in_the_package():
+    # an error class that no other module raises, catches or subclasses
+    # is dead; one that only tests raise belongs in tests/oracles.py
+    errors_py = PACKAGE / "errors.py"
+    classes = [node.name for node in ast.parse(errors_py.read_text()).body
+               if isinstance(node, ast.ClassDef)]
+    reads = {n for p in sorted(PACKAGE.glob("*.py")) if p != errors_py
+             for n in names_read(ast.parse(p.read_text()))}
+    assert classes and [c for c in classes if c not in reads] == []
+
+
 def calls_of(source, name):
     """Line numbers of the calls to `name` in the source, as a plain name
     or as an attribute."""

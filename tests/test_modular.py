@@ -126,8 +126,8 @@ def test_randomized_verify_records():
     x0, x1 = Poly.variable(0), Poly.variable(1)
     F = Factorization.of(1, [(x0 + x1, 2)], "test")
     square = x0 ** 2 + 2 * x0 * x1 + x1 ** 2
-    assert verify_factorization(square, F, "randomized", rounds=4) == \
-        {"equal": True, "mode": "randomized", "rounds": 4, "seed": 0}
+    assert verify_factorization(square, F, "randomized") == \
+        {"equal": True, "mode": "randomized", "rounds": 5, "seed": 0}
     r = verify_factorization(square + 1, F, "randomized", seed=0)
     assert r == {"equal": False, "mode": "randomized", "rounds": 1,
                  "seed": 0, "witness": next(random_points([0, 1], 0, 1))}

@@ -4,7 +4,7 @@ import pytest
 
 from frobdet.determinant import paratrophic_determinant, verify_against
 from frobdet.errors import (CocycleDomainMismatch, CocycleInvalid, FormatError,
-                            NotNilpotentAdjoined, NoUniqueAnnihilator)
+                            NotNilpotentAdjoined)
 from frobdet.factorization import lift_zero
 from frobdet.nilpotent import (Cocycle, analyze_nilpotent, annihilator_matrix,
                                factor_nil_adjoined, parse_cocycle)
@@ -90,15 +90,13 @@ def test_no_unique_annihilator_is_zero():
     F = factor_nil_adjoined(M)
     assert F.status == "zero"
     assert any("annihilating" in n for n in F.notes)
-    with pytest.raises(NoUniqueAnnihilator):
-        annihilator_matrix(M)
 
 
 def test_annihilator_matrix_shape():
     M = build_family("cyclic_nilpotent", 3)
-    mat, basis, zp = annihilator_matrix(M)
-    assert basis == (0, 1, 2)
+    zp = analyze_nilpotent(M).unique_annihilator
     assert zp == 2
+    mat = annihilator_matrix(M, zp)
     got = [[0 if v.is_zero() else 1 for v in row] for row in mat]
     # I a2 = a2, a a = a2, a2 I = a2: the antidiagonal
     assert got == [[0, 0, 1], [0, 1, 0], [1, 0, 0]]

@@ -10,11 +10,11 @@ from frobdet.errors import (AssociativityViolation, DeclaredIdentityNotIdentity,
                             SizeTooLarge, UnknownFamily)
 from frobdet.semigroups import (analyze, adjoin_identity, adjoin_zero,
                                 build_family, element_order, group_exponent,
-                                group_of_units, maximal_subgroup,
-                                parse_sgp, subsemigroup, validate_table)
+                                group_of_units, parse_sgp, subsemigroup,
+                                validate_table)
 
 from corpus import zmult
-from oracles import direct_product, enumerate_commutative
+from oracles import direct_product, enumerate_commutative, maximal_subgroup
 
 
 def test_validate_basic():
